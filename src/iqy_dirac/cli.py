@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -87,9 +85,12 @@ class RunConfig:
             raise ConfigError("kappa list must not contain 0")
         if self.n_min < 0 or self.n_max < self.n_min:
             raise ConfigError(f"bad n range [{self.n_min}, {self.n_max}]")
-        if self.tol <= 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        self.physical(self.tensor_h[0] if self.tensor_h else 0.0)
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+        if self.window is not None and not all(map(math.isfinite, self.window)):
+            raise ConfigError(f"window must be finite, got {self.window}")
+        for h in self.tensor_h or [0.0]:
+            self.physical(h)
 
 
 def fmt_float(x: Optional[float]) -> str:
@@ -196,14 +197,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SPECTRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -282,18 +275,12 @@ def _rows_to_json(rows: Sequence[dict]) -> str:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    combos = [
-        (n, kappa, h)
+    rows = [
+        _spectrum_row(cfg, n, kappa, h)
         for n in range(cfg.n_min, cfg.n_max + 1)
         for kappa in cfg.kappas
         for h in cfg.tensor_h
     ]
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _spectrum_row(cfg, *c), combos))
-    else:
-        rows = [_spectrum_row(cfg, *combo) for combo in combos]
     rows.sort(key=lambda r: (r["symmetry"], r["n_nu"], r["kappa"], r["H"]))
     text = _rows_to_csv(rows) if cfg.fmt == "csv" else _rows_to_json(rows)
     _write_text(cfg.out, text)
@@ -516,9 +503,8 @@ def cmd_reproduce_tables(cfg: RunConfig) -> int:
     strict_hits = 0
     for alpha in alphas:
         params = replace(p0, screening=float(alpha))
-        strict = solve_energies(params, anchor_n, anchor_kappa, PSPIN, mode="strict")
-        strict_hits += len(strict)
         relaxed = solve_energies(params, anchor_n, anchor_kappa, PSPIN, mode="relaxed")
+        strict_hits += sum(sol.strict_valid for sol in relaxed)
         for sol in relaxed:
             gap = abs(sol.e - target)
             best_gap = gap if best_gap is None else min(best_gap, gap)

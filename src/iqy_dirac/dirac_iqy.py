@@ -12,10 +12,12 @@ energy. Two residual forms are provided:
   that stays smooth across the window and carries a sign flag separating true
   roots from spurious squared ones.
 
-Scanning the squared form is the "relaxed" mode; restricting to roots with a
-valid sign and beta^2 > 0 is the "strict" mode. For the published parameter
-regime the strict set is empty (the printed condition has no principal-branch
-solutions), which the diagnostics quantify rather than hide.
+``solve_energies`` evaluates the squared form on a 2000-cell grid over the
+scan window, brackets every sign change at once and bisects all brackets
+together. Every root found is the "relaxed" set; keeping roots with a valid
+sign and beta^2 > 0 is the "strict" mode, which is empty for every parameter
+set: the printed condition has no principal-branch solutions (proof in
+``solve_energies``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (
-    DegenerateP,
     EmptyWindow,
     EnergyAtThreshold,
     ExponentNotReal,
@@ -75,6 +76,9 @@ class PhysicalParams:
     z_target: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.mass > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.v0 < 0.0:
@@ -227,21 +231,16 @@ def energy_residual_rearranged(
     rad = _centrifugal_radicand(params, kappa, e, symmetry)
     if rad < -RADICAND_TOLERANCE:
         raise NegativeRadicand(f"centrifugal radicand = {rad} at e = {e}")
-    q = math.sqrt(max(rad, 0.0))
-    big_p = n + 0.5 + q
-    if big_p <= 0.0:
-        raise DegenerateP(f"P = {big_p} is nonpositive")
-    gv = gamma_factor(params, e, symmetry) * params.v0
-    t = gv + big_p * big_p
-    bsq = beta_squared(params, e, symmetry)
-    residual = bsq - 4.0 * params.screening**2 * (t / (2.0 * big_p)) ** 2
-    return residual, t <= 0.0
+    residual, sign_ok, _ = _rearranged_vec(params, n, kappa, symmetry, e)
+    return float(residual), bool(sign_ok)
 
 
 def _rearranged_vec(
     params: PhysicalParams, n: int, kappa: int, symmetry: str, e_arr: np.ndarray
 ):
-    """Vectorized squared-form residual; nan where the inner radicand fails."""
+    """Squared-form residual, sign flag and beta^2 for a float or an array of
+    energies; nan where the inner radicand fails. P = n + 1/2 + q is
+    positive, so the division needs no guard."""
     rad = _centrifugal_radicand(params, kappa, e_arr, symmetry)
     rad = np.where(rad >= -RADICAND_TOLERANCE, np.maximum(rad, 0.0), np.nan)
     q = np.sqrt(rad)
@@ -303,93 +302,71 @@ def solve_energies(
     kappa: int,
     symmetry: str,
     window: Optional[Tuple[float, float]] = None,
-    scan_step: Optional[float] = None,
     tol: float = 1.0e-12,
     mode: str = "strict",
 ) -> List[EnergySolution]:
-    """Bracket and bisect all roots of the squared residual in the window.
+    """All roots of the squared residual in the scan window.
 
-    ``mode='strict'`` keeps only sign-valid roots with beta^2 > 0;
-    ``mode='relaxed'`` returns every root, each flagged. Pseudospin results
-    are restricted to the negative-energy branch. Returns an empty list when
-    nothing converges (absence of roots is informational, not an error).
+    A 2000-cell scan brackets every sign change, then all brackets are
+    bisected together until each is narrower than ``tol``. ``mode='relaxed'``
+    returns every root, each flagged; ``mode='strict'`` keeps sign-valid
+    roots with beta^2 > 0 and is empty for every parameter set: with
+    q = sqrt(radicand) >= 0 the sign quantity is
+    t = gamma*V0 + P^2 = (lambda - 1/2)^2 + (n + 1/2)^2 + 2(n + 1/2)q > 0,
+    so no root has a valid sign. Pseudospin results are restricted to the
+    negative-energy branch. Returns an empty list when there is no root.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    if tol <= 0.0 or (scan_step is not None and scan_step <= 0.0):
-        raise ValueError("scan_step and tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     bounds = scan_window(params, n, kappa, symmetry, window)
     if bounds is None:
         return []
     lo, hi = bounds
-    width = hi - lo
-    step = scan_step if scan_step is not None else width / 2000.0
-    count = max(int(math.ceil(width / step)), 8)
-    e_grid = np.linspace(lo, hi, count + 1)
+    step = (hi - lo) / 2000.0
+    # (hi - lo) / step rounds up to 2001 cells for about one width in eight;
+    # kept so the grid, and with it every printed root, stays as it was.
+    e_grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
     res, _, _ = _rearranged_vec(params, n, kappa, symmetry, e_grid)
 
-    roots: List[float] = []
-    for i in range(count):
-        fa, fb = res[i], res[i + 1]
-        if not (np.isfinite(fa) and np.isfinite(fb)):
-            continue
-        if fa == 0.0:
-            roots.append(float(e_grid[i]))
-            continue
-        if fa * fb < 0.0:
-            roots.append(
-                _bisect(
-                    lambda e: energy_residual_rearranged(params, n, kappa, e, symmetry)[0],
-                    float(e_grid[i]),
-                    float(e_grid[i + 1]),
-                    tol,
-                )
-            )
-    if np.isfinite(res[-1]) and res[-1] == 0.0:
-        roots.append(float(e_grid[-1]))
-
+    cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
+    a, b, fa = e_grid[cells], e_grid[cells + 1], res[cells]
+    # The cap ends the loop when tol is finer than the doubles near a root,
+    # where a bracket stops shrinking.
+    for _ in range(200):
+        live = b - a > tol
+        if not live.any():
+            break
+        mid = 0.5 * (a + b)
+        fmid, _, _ = _rearranged_vec(params, n, kappa, symmetry, mid)
+        left = fa * fmid < 0.0
+        # an exact zero closes the bracket on itself
+        b = np.where(live & (left | (fmid == 0.0)), mid, b)
+        a = np.where(live & ~left, mid, a)
     lam = effective_centrifugal(kappa, params.tensor_h, symmetry)
     solutions = []
-    for root in roots:
-        residual, sign_ok = energy_residual_rearranged(params, n, kappa, root, symmetry)
-        bsq = beta_squared(params, root, symmetry)
+    for root in np.sort(np.concatenate((e_grid[res == 0.0], 0.5 * (a + b)))):
+        if symmetry == PSPIN and root >= 0.0:
+            continue
+        # Evaluated as a scalar: a scalar ``x ** 2`` rounds like pow(), an
+        # array's like x * x, and the printed residual uses the former.
+        residual, sign_ok, bsq = _rearranged_vec(params, n, kappa, symmetry, float(root))
         sol = EnergySolution(
-            e=root,
+            e=float(root),
             symmetry=symmetry,
             n=n,
             kappa=kappa,
             tensor_h=params.tensor_h,
-            residual=residual,
+            residual=float(residual),
             beta_sq=bsq,
             lambda_or_eta=lam,
-            sign_ok=sign_ok,
+            sign_ok=bool(sign_ok),
             strict_valid=bool(sign_ok and bsq > 0.0),
         )
-        if symmetry == PSPIN and sol.e >= 0.0:
-            continue
-        if mode == "strict" and not sol.strict_valid:
-            continue
-        solutions.append(sol)
-    solutions.sort(key=lambda s: s.e)
+        if mode == "relaxed" or sol.strict_valid:
+            solutions.append(sol)
     return solutions
-
-
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
 
 
 def select_branch_root(

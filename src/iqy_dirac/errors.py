@@ -41,10 +41,6 @@ class NoRoot(IqyDiracError):
     """No converged energy root is available for the requested state."""
 
 
-class DegenerateP(IqyDiracError):
-    """Rearranged quantization denominator is nonpositive."""
-
-
 class NonpositiveR(IqyDiracError):
     """Radial coordinate must be strictly positive."""
 

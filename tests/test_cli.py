@@ -284,6 +284,25 @@ class TestExitCodes:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--v0", "nan"],
+            ["--screening", "inf"],
+            ["--tensor-h", "nan"],
+            ["--cps", "nan"],
+            ["--tol", "nan"],
+            ["--window", "nan,0"],
+        ],
+        ids=lambda flag: flag[0].lstrip("-"),
+    )
+    def test_non_finite_input_exits_2(self, flag, capsys):
+        code = run_main(["spectrum", "--kappa", "-1", "--n-min", "0", "--n-max", "0", *flag])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_bad_symmetry_in_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "r.cfg"
         cfg_file.write_text("symmetry = sideways\n")

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqy_dirac.dirac_iqy import (
     PSPIN,
@@ -34,6 +36,52 @@ def caption_params(**overrides):
     base = dict(mass=5.0, v0=1.0, screening=0.05, tensor_h=0.0, c_spin=6.0, c_pspin=-5.5)
     base.update(overrides)
     return PhysicalParams(**base)
+
+
+def loop_roots(p, n, kappa, symmetry, tol=1e-12):
+    """Reference root finder: the same scan, then each sign-change cell
+    bisected on its own with the scalar residual."""
+    lo, hi = scan_window(p, n, kappa, symmetry)
+    step = (hi - lo) / 2000.0
+    grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
+    res, _, _ = _rearranged_vec(p, n, kappa, symmetry, grid)
+    roots = []
+    for i in range(len(grid) - 1):
+        if not res[i] * res[i + 1] < 0.0:
+            continue
+        a, b, fa = float(grid[i]), float(grid[i + 1]), res[i]
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fmid, _ = energy_residual_rearranged(p, n, kappa, mid, symmetry)
+            if fmid == 0.0:
+                a = b = mid
+            elif fa * fmid < 0.0:
+                b = mid
+            else:
+                a, fa = mid, fmid
+        roots.append(0.5 * (a + b))
+    return [e for e in roots if not (symmetry == PSPIN and e >= 0.0)]
+
+
+PARAMS = dict(
+    mass=st.floats(min_value=0.5, max_value=10.0),
+    v0=st.floats(min_value=0.0, max_value=10.0),
+    screening=st.floats(min_value=1e-3, max_value=1.0),
+    tensor_h=st.floats(min_value=0.0, max_value=6.0),
+    cs_ratio=st.floats(min_value=-1.0, max_value=1.9),
+    cps_ratio=st.floats(min_value=-1.9, max_value=1.0),
+    n=st.integers(min_value=0, max_value=5),
+    kappa=st.integers(min_value=-6, max_value=6).filter(bool),
+    symmetry=st.sampled_from([PSPIN, SPIN]),
+)
+
+
+def drawn_params(mass, v0, screening, tensor_h, cs_ratio, cps_ratio):
+    # c_spin < 2 mass and c_pspin > -2 mass keep both strict windows nonempty
+    return PhysicalParams(
+        mass=mass, v0=v0, screening=screening, tensor_h=tensor_h,
+        c_spin=cs_ratio * mass, c_pspin=cps_ratio * mass,
+    )
 
 
 class TestQuantumNumbers:
@@ -237,6 +285,27 @@ class TestSolveEnergies:
         p = caption_params()
         assert solve_energies(p, 1, -1, PSPIN, mode="strict") == []
         assert solve_energies(p, 0, -2, SPIN, mode="strict") == []
+
+    @given(**PARAMS)
+    @settings(max_examples=200, deadline=None)
+    def test_strict_mode_empty_everywhere(self, n, kappa, symmetry, **physical):
+        # t = gamma*V0 + P^2 = (lambda - 1/2)^2 + (n + 1/2)^2 + 2(n + 1/2)q > 0
+        # for every q >= 0, so no root of the squared condition has a valid sign
+        p = drawn_params(**physical)
+        assert solve_energies(p, n, kappa, symmetry, mode="strict") == []
+        relaxed = solve_energies(p, n, kappa, symmetry, mode="relaxed")
+        assert not any(sol.sign_ok for sol in relaxed)
+
+    @given(**PARAMS)
+    @settings(max_examples=100, deadline=None)
+    def test_batched_bisection_matches_cell_loop(self, n, kappa, symmetry, **physical):
+        # the array residual squares by x * x, the scalar one by pow(), so a
+        # midpoint's sign may differ; the roots still agree within tol
+        p = drawn_params(**physical)
+        got = [sol.e for sol in solve_energies(p, n, kappa, symmetry, mode="relaxed")]
+        want = loop_roots(p, n, kappa, symmetry)
+        assert len(got) == len(want)
+        assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
 
     def test_relaxed_roots_are_flagged_spurious(self):
         p = caption_params()

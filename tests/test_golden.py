@@ -1,0 +1,37 @@
+"""CLI outputs pinned byte for byte.
+
+The files under ``tests/data`` were written by the CLI before the root finder
+was vectorized; any difference, including the noise-level residual column, is
+a regression, not a reason to regenerate them.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from iqy_dirac.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+GOLDEN = {
+    "spectrum_pspin.csv": [
+        "spectrum", "--symmetry", "pspin", "--n-min", "1", "--n-max", "2",
+        "--kappa", "-4,-3,-2,-1,2,3,4,5", "--tensor-h", "0", "--tensor-h", "5",
+    ],
+    "spectrum_spin.json": [
+        "spectrum", "--symmetry", "spin", "--n-min", "0", "--n-max", "5",
+        "--kappa", "-5,-4,-3,-2,-1,1,2,3,4,5",
+        "--tensor-h", "0", "--tensor-h", "0.5", "--tensor-h", "5", "--format", "json",
+    ],
+    "reproduce_tables.txt": ["reproduce-tables"],
+    "wavefunction_pspin.csv": [
+        "wavefunction", "--symmetry", "pspin", "--n-min", "1", "--kappa", "-1",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    assert main(GOLDEN[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
