@@ -56,6 +56,6 @@ from .oracle import (
     shoot_eigenvalue,
     spin_family,
 )
-from .special_fn import DEGREE_CAP, PolynomialQuery, jacobi, jacobi_derivative, laguerre
+from .special_fn import DEGREE_CAP, jacobi, jacobi_derivative, laguerre
 
 __version__ = "0.1.0"

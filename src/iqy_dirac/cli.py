@@ -23,7 +23,6 @@ from . import dirac_iqy, oracle, reference_tables
 from .dirac_iqy import (
     PSPIN,
     SPIN,
-    EnergySolution,
     PhysicalParams,
     attach_radial_number,
     beta_squared,
@@ -33,7 +32,7 @@ from .dirac_iqy import (
     select_branch_root,
     solve_energies,
 )
-from .errors import ConfigError, IoError, NoRoot
+from .errors import ConfigError, EmptyWindow, IoError, NoRoot
 from .limits import coulomb_energy
 
 CSV_HEADER = "symmetry,n_nu,n_spect,kappa,label,H,E,residual,beta_sq,strict_valid"
@@ -300,8 +299,7 @@ def cmd_wavefunction(cfg: RunConfig, n: Optional[int] = None, kappa: Optional[in
     if sol is None:
         raise NoRoot(f"no converged energy for n={n}, kappa={kappa}, {cfg.symmetry}")
     wf = dirac_iqy.assemble_wavefunction(params, sol, n, kappa, cfg.symmetry)
-    dominant = wf.lower if cfg.symmetry == PSPIN else wf.upper
-    nodes = oracle.count_nodes(dominant)
+    nodes = oracle.count_nodes(wf.dominant)
     backsub = first_order_residual(params, wf)
     meta = {
         "symmetry": cfg.symmetry,
@@ -347,21 +345,20 @@ COULOMB_ANCHOR_STATES = ((0, 1), (1, 1), (0, 2))
 CROSSCHECK_TOLERANCE = 1.0e-6
 
 
-def cmd_crosscheck(cfg: RunConfig, _corrupt: float = 0.0) -> int:
+def cmd_crosscheck(cfg: RunConfig) -> int:
     """Closed form versus shooting on the identical problems.
 
     The Coulomb anchor trio exercises the matching machinery on a nonempty
-    spectrum; the configured combos are compared as root sets (the strict
-    closed-form set and the shooting set must agree state by state, including
-    the case where both are empty). ``_corrupt`` is a test hook that offsets
-    the closed-form values.
+    spectrum. For the configured combos the strict closed-form set is empty
+    by the proof in ``solve_energies``, so any shooting root is a
+    disagreement.
     """
     lines = ["# crosscheck report"]
     failures = 0
 
     lines.append("## coulomb anchor (mass=1, B=-1)")
     for n, kappa in COULOMB_ANCHOR_STATES:
-        closed = coulomb_energy(1.0, -1.0, n, kappa) + _corrupt
+        closed = coulomb_energy(1.0, -1.0, n, kappa)
         family = oracle.coulomb_family(1.0, -1.0, kappa, r_max=60.0, step=5.0e-3)
         shot = oracle.shoot_eigenvalue(family, (-0.999, -0.02), node_target=n, tol=1.0e-10)
         gap = abs(closed - shot)
@@ -377,41 +374,21 @@ def cmd_crosscheck(cfg: RunConfig, _corrupt: float = 0.0) -> int:
         params = cfg.physical(h)
         for n in range(cfg.n_min, cfg.n_max + 1):
             for kappa in cfg.kappas:
-                strict = solve_energies(params, n, kappa, cfg.symmetry, window=cfg.window, mode="strict")
                 bounds = dirac_iqy.scan_window(params, n, kappa, cfg.symmetry, cfg.window)
-                if bounds is None:
-                    shots: List[Tuple[float, int]] = []
-                else:
-                    family = (
-                        oracle.pspin_family(params, kappa)
-                        if cfg.symmetry == PSPIN
-                        else oracle.spin_family(params, kappa)
-                    )
+                shots: List[Tuple[float, int]] = []
+                if bounds is not None:
+                    family = oracle.iqy_family(params, kappa, cfg.symmetry)
                     shots = oracle.scan_eigenvalues(family, bounds, tol=1.0e-9)
-                if len(strict) != len(shots):
+                if shots:
                     failures += 1
                     lines.append(
                         f"n={n} kappa={kappa} H={fmt_float(h)} FAIL: "
-                        f"{len(strict)} closed-form vs {len(shots)} shooting roots"
+                        f"0 closed-form vs {len(shots)} shooting roots"
                     )
-                    continue
-                if not strict:
+                else:
                     lines.append(
                         f"n={n} kappa={kappa} H={fmt_float(h)} consistent: no bound state on either route"
                     )
-                    continue
-                worst = 0.0
-                node_ok = True
-                for sol, (e_shot, nodes) in zip(strict, shots):
-                    sol.node_count = nodes
-                    worst = max(worst, abs((sol.e + _corrupt) - e_shot))
-                    node_ok = node_ok and nodes == n
-                ok = worst <= CROSSCHECK_TOLERANCE and node_ok
-                failures += 0 if ok else 1
-                lines.append(
-                    f"n={n} kappa={kappa} H={fmt_float(h)} max|dE|={fmt_float(worst)} "
-                    f"nodes_ok={'true' if node_ok else 'false'} {'ok' if ok else 'FAIL'}"
-                )
 
     lines.append("## centrifugal approximation quality at r=1 fm")
     for alpha in (cfg.screening, cfg.screening / 2.0, cfg.screening / 4.0):
@@ -593,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "wavefunction":
             return cmd_wavefunction(cfg, n=args.n, kappa=args.single_kappa)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, NoRoot) as exc:
+    except (ConfigError, EmptyWindow, NoRoot) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IoError as exc:

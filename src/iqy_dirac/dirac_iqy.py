@@ -12,6 +12,12 @@ energy. Two residual forms are provided:
   that stays smooth across the window and carries a sign flag separating true
   roots from spurious squared ones.
 
+Spin and pseudospin symmetry share every formula. A frozen ``Symmetry``
+record per symmetry holds the sign s of the mass term (-1 pseudospin, +1
+spin), the charge constant C, the centrifugal shift and the component the
+closed form describes; gamma = E + s*M - C, beta^2 = (s*M - E)*gamma, the
+strict thresholds s*M and C - s*M and the companion coupling all follow.
+
 ``solve_energies`` evaluates the squared form on a 2000-cell grid over the
 scan window, brackets every sign change at once and bisects all brackets
 together. Every root found is the "relaxed" set; keeping roots with a valid
@@ -23,7 +29,8 @@ set: the printed condition has no principal-branch solutions (proof in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -36,13 +43,12 @@ from .errors import (
     NonpositiveR,
     ZeroKappa,
 )
-from .nu_engine import NUCoefficients
+from .nu_engine import RADICAND_TOLERANCE, NUCoefficients
 from .special_fn import jacobi, jacobi_derivative
 
 PSPIN = "pspin"
 SPIN = "spin"
 
-RADICAND_TOLERANCE = 1.0e-12
 THRESHOLD_TOLERANCE = 1.0e-12
 WINDOW_MARGIN = 1.0e-9
 
@@ -52,9 +58,37 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 _SPECTROSCOPIC = "spdfghiklmnoqrtuvwxyz"
 
 
-def _check_symmetry(symmetry: str) -> None:
-    if symmetry not in (PSPIN, SPIN):
-        raise ValueError(f"symmetry must be '{PSPIN}' or '{SPIN}', got {symmetry!r}")
+@dataclass(frozen=True)
+class Symmetry:
+    """What separates pseudospin from spin: both reduce to one NU problem.
+
+    The mass enters with sign s, gamma = E + s*M - C and
+    beta^2 = (s*M - E)*gamma; the first-order coupling of the companion
+    component carries s*(kappa + H)/r over the denominator s*gamma. Negation
+    and commutation are exact in floating point, so each formula written with
+    s rounds exactly like the same formula written out for one symmetry.
+    """
+
+    name: str
+    sign: float  # s: -1 pseudospin, +1 spin
+    charge: str  # PhysicalParams field holding C
+    shift: float  # lambda = kappa + H + shift
+    dominant: str  # RadialWavefunction field holding the closed form
+    companion: str  # the field the first-order coupling derives from it
+
+
+SYMMETRIES = {
+    PSPIN: Symmetry(PSPIN, -1.0, "c_pspin", 0.0, "lower", "upper"),
+    SPIN: Symmetry(SPIN, 1.0, "c_spin", 1.0, "upper", "lower"),
+}
+
+
+def symmetry_record(symmetry: str) -> Symmetry:
+    """The record of a symmetry name; ValueError for any other name."""
+    try:
+        return SYMMETRIES[symmetry]
+    except KeyError:
+        raise ValueError(f"symmetry must be '{PSPIN}' or '{SPIN}', got {symmetry!r}") from None
 
 
 @dataclass(frozen=True)
@@ -123,50 +157,53 @@ def attach_radial_number(qn: QuantumNumbers, n: int, symmetry: str) -> QuantumNu
     Pseudospin states with kappa > 0 are listed one radial unit lower than
     the quantization degree; spin states keep the degree unchanged.
     """
-    _check_symmetry(symmetry)
-    n_spect = n - 1 if (symmetry == PSPIN and qn.kappa > 0) else n
+    sym = symmetry_record(symmetry)
+    n_spect = n - 1 if (sym.sign < 0.0 and qn.kappa > 0) else n
     return replace(qn, n=n, n_spect=n_spect, label=f"{n_spect}{qn.label}")
 
 
 def effective_centrifugal(kappa: int, tensor_h: float, symmetry: str) -> float:
     """Shifted spin-orbit index: kappa + H (pspin) or kappa + H + 1 (spin)."""
-    _check_symmetry(symmetry)
-    return kappa + tensor_h if symmetry == PSPIN else kappa + tensor_h + 1.0
+    return kappa + tensor_h + symmetry_record(symmetry).shift
+
+
+def _couplings(params: PhysicalParams, e, sym: Symmetry):
+    """(gamma, beta^2) for a float or an array of energies."""
+    gamma = e + sym.sign * params.mass - getattr(params, sym.charge)
+    return gamma, (sym.sign * params.mass - e) * gamma
 
 
 def gamma_factor(params: PhysicalParams, e, symmetry: str):
     """Energy-dependent coupling multiplying the potential."""
-    _check_symmetry(symmetry)
-    if symmetry == PSPIN:
-        return e - params.mass - params.c_pspin
-    return params.mass + e - params.c_spin
+    return _couplings(params, e, symmetry_record(symmetry))[0]
 
 
 def beta_squared(params: PhysicalParams, e, symmetry: str):
     """Square of the asymptotic decay rate; positive inside the strict domain."""
-    _check_symmetry(symmetry)
-    if symmetry == PSPIN:
-        return (params.mass + e) * (params.mass - e + params.c_pspin)
-    return (params.mass - e) * (params.mass + e - params.c_spin)
+    return _couplings(params, e, symmetry_record(symmetry))[1]
+
+
+def _thresholds(params: PhysicalParams, sym: Symmetry) -> Tuple[float, float]:
+    """The two zeros of beta^2: s*M and C - s*M."""
+    edge = sym.sign * params.mass
+    return edge, getattr(params, sym.charge) - edge
 
 
 def strict_window(params: PhysicalParams, symmetry: str) -> Tuple[float, float]:
-    """Open energy interval on which beta^2 > 0."""
-    _check_symmetry(symmetry)
-    if symmetry == PSPIN:
-        lo, hi = -params.mass, params.mass + params.c_pspin
-    else:
-        lo, hi = params.c_spin - params.mass, params.mass
+    """Open energy interval on which beta^2 > 0, between the thresholds s*M
+    (lower end for pseudospin, upper for spin) and C - s*M."""
+    sym = symmetry_record(symmetry)
+    edge, far = _thresholds(params, sym)
+    lo, hi = (edge, far) if sym.sign < 0.0 else (far, edge)
     if hi <= lo:
         raise EmptyWindow(f"strict domain empty for {symmetry}: ({lo}, {hi})")
     return lo, hi
 
 
-def pspin_nu_coefficients(params: PhysicalParams, kappa: int, e: float) -> NUCoefficients:
-    """Engine coefficients of the pseudospin radial equation at trial energy e."""
-    lam = effective_centrifugal(kappa, params.tensor_h, PSPIN)
-    gamma = gamma_factor(params, e, PSPIN)
-    bsq = beta_squared(params, e, PSPIN)
+def nu_coefficients(params: PhysicalParams, kappa: int, e: float, symmetry: str) -> NUCoefficients:
+    """Engine coefficients of the radial equation at trial energy e."""
+    lam = effective_centrifugal(kappa, params.tensor_h, symmetry)
+    gamma, bsq = _couplings(params, e, symmetry_record(symmetry))
     four_alpha_sq = 4.0 * params.screening**2
     return NUCoefficients(
         a1=1.0,
@@ -178,25 +215,13 @@ def pspin_nu_coefficients(params: PhysicalParams, kappa: int, e: float) -> NUCoe
     )
 
 
-def spin_nu_coefficients(params: PhysicalParams, kappa: int, e: float) -> NUCoefficients:
-    """Engine coefficients of the spin radial equation at trial energy e."""
-    eta = effective_centrifugal(kappa, params.tensor_h, SPIN)
-    gamma = gamma_factor(params, e, SPIN)
-    bsq = beta_squared(params, e, SPIN)
-    four_alpha_sq = 4.0 * params.screening**2
-    return NUCoefficients(
-        a1=1.0,
-        a2=1.0,
-        a3=1.0,
-        xi1=bsq / four_alpha_sq - gamma * params.v0,
-        xi2=-eta * (eta - 1.0) + 2.0 * bsq / four_alpha_sq,
-        xi3=bsq / four_alpha_sq,
-    )
+pspin_nu_coefficients = partial(nu_coefficients, symmetry=PSPIN)
+spin_nu_coefficients = partial(nu_coefficients, symmetry=SPIN)
 
 
-def _centrifugal_radicand(params: PhysicalParams, kappa: int, e, symmetry: str):
-    lam = effective_centrifugal(kappa, params.tensor_h, symmetry)
-    return (lam - 0.5) ** 2 - gamma_factor(params, e, symmetry) * params.v0
+def _centrifugal_radicand(params: PhysicalParams, kappa: int, gamma, sym: Symmetry):
+    lam = effective_centrifugal(kappa, params.tensor_h, sym.name)
+    return (lam - 0.5) ** 2 - gamma * params.v0
 
 
 def energy_residual_raw(
@@ -205,15 +230,16 @@ def energy_residual_raw(
     """Quantization condition as printed, LHS minus RHS, principal roots."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    rad = _centrifugal_radicand(params, kappa, e, symmetry)
+    sym = symmetry_record(symmetry)
+    gamma, bsq = _couplings(params, e, sym)
+    rad = _centrifugal_radicand(params, kappa, gamma, sym)
     if rad < -RADICAND_TOLERANCE:
         raise NegativeRadicand(f"centrifugal radicand = {rad} at e = {e}")
-    bsq = beta_squared(params, e, symmetry)
     if bsq < -RADICAND_TOLERANCE:
         raise NegativeRadicand(f"beta^2 = {bsq} at e = {e}")
     q = math.sqrt(max(rad, 0.0))
     w = math.sqrt(max(bsq, 0.0)) / (2.0 * params.screening)
-    gv = gamma_factor(params, e, symmetry) * params.v0
+    gv = gamma * params.v0
     return (n + 0.5 + q + w) ** 2 - (w * w - gv)
 
 
@@ -228,7 +254,8 @@ def energy_residual_rearranged(
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    rad = _centrifugal_radicand(params, kappa, e, symmetry)
+    sym = symmetry_record(symmetry)
+    rad = _centrifugal_radicand(params, kappa, _couplings(params, e, sym)[0], sym)
     if rad < -RADICAND_TOLERANCE:
         raise NegativeRadicand(f"centrifugal radicand = {rad} at e = {e}")
     residual, sign_ok, _ = _rearranged_vec(params, n, kappa, symmetry, e)
@@ -241,13 +268,13 @@ def _rearranged_vec(
     """Squared-form residual, sign flag and beta^2 for a float or an array of
     energies; nan where the inner radicand fails. P = n + 1/2 + q is
     positive, so the division needs no guard."""
-    rad = _centrifugal_radicand(params, kappa, e_arr, symmetry)
+    sym = symmetry_record(symmetry)
+    gamma, bsq = _couplings(params, e_arr, sym)
+    rad = _centrifugal_radicand(params, kappa, gamma, sym)
     rad = np.where(rad >= -RADICAND_TOLERANCE, np.maximum(rad, 0.0), np.nan)
     q = np.sqrt(rad)
     big_p = n + 0.5 + q
-    gv = gamma_factor(params, e_arr, symmetry) * params.v0
-    t = gv + big_p * big_p
-    bsq = beta_squared(params, e_arr, symmetry)
+    t = gamma * params.v0 + big_p * big_p
     residual = bsq - 4.0 * params.screening**2 * (t / (2.0 * big_p)) ** 2
     return residual, t <= 0.0, bsq
 
@@ -266,7 +293,6 @@ class EnergySolution:
     lambda_or_eta: float
     sign_ok: bool
     strict_valid: bool
-    node_count: Optional[int] = None
 
 
 def scan_window(
@@ -277,13 +303,17 @@ def scan_window(
     window: Optional[Tuple[float, float]] = None,
 ) -> Optional[Tuple[float, float]]:
     """Effective search interval: the strict domain, capped where the inner
-    square root stays real, intersected with an optional user window."""
+    square root stays real, intersected with an optional user window.
+
+    The cap is C - s*M + (lambda - 1/2)^2 / V0. For pseudospin C - s*M is
+    the upper end of the strict domain, so the cap never binds there."""
     lo, hi = strict_window(params, symmetry)
-    if symmetry == SPIN and params.v0 > 0.0:
-        eta = effective_centrifugal(kappa, params.tensor_h, SPIN)
+    if params.v0 > 0.0:
+        lam = effective_centrifugal(kappa, params.tensor_h, symmetry)
+        _, far = _thresholds(params, symmetry_record(symmetry))
         # Above this energy the inner square root turns complex and the
         # reduced problem loses its regular small-r solution.
-        hi = min(hi, params.c_spin - params.mass + (eta - 0.5) ** 2 / params.v0)
+        hi = min(hi, far + (lam - 0.5) ** 2 / params.v0)
     if window is not None:
         w_lo, w_hi = window
         if w_hi <= lo or w_lo >= hi:
@@ -323,6 +353,7 @@ def solve_energies(
     bounds = scan_window(params, n, kappa, symmetry, window)
     if bounds is None:
         return []
+    sym = symmetry_record(symmetry)
     lo, hi = bounds
     step = (hi - lo) / 2000.0
     # (hi - lo) / step rounds up to 2001 cells for about one width in eight;
@@ -347,7 +378,7 @@ def solve_energies(
     lam = effective_centrifugal(kappa, params.tensor_h, symmetry)
     solutions = []
     for root in np.sort(np.concatenate((e_grid[res == 0.0], 0.5 * (a + b)))):
-        if symmetry == PSPIN and root >= 0.0:
+        if sym.sign < 0.0 and root >= 0.0:
             continue
         # Evaluated as a scalar: a scalar ``x ** 2`` rounds like pow(), an
         # array's like x * x, and the printed residual uses the former.
@@ -375,11 +406,11 @@ def select_branch_root(
     """Branch convention for reporting one state per quantum-number combo:
     the deepest root for pseudospin (negative-energy branch), the shallowest
     for spin."""
-    _check_symmetry(symmetry)
+    sym = symmetry_record(symmetry)
     if not solutions:
         return None
     ordered = sorted(solutions, key=lambda s: s.e)
-    return ordered[0] if symmetry == PSPIN else ordered[-1]
+    return ordered[0] if sym.sign < 0.0 else ordered[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +431,11 @@ class RadialWavefunction:
     n: int
     kappa: int
 
+    @property
+    def dominant(self) -> np.ndarray:
+        """The closed-form component: lower for pseudospin, upper for spin."""
+        return getattr(self, symmetry_record(self.symmetry).dominant)
+
 
 def _energy_of(sol: Union[EnergySolution, float]) -> float:
     return sol.e if isinstance(sol, EnergySolution) else float(sol)
@@ -409,10 +445,11 @@ def _shape_exponents(
     params: PhysicalParams, e: float, kappa: int, symmetry: str
 ) -> Tuple[float, float]:
     """(decay exponent w, edge exponent q) of the closed-form component."""
-    bsq = beta_squared(params, e, symmetry)
+    sym = symmetry_record(symmetry)
+    gamma, bsq = _couplings(params, e, sym)
     if bsq < -RADICAND_TOLERANCE:
         raise ExponentNotReal(f"beta^2 = {bsq} < 0 at e = {e}")
-    rad = _centrifugal_radicand(params, kappa, e, symmetry)
+    rad = _centrifugal_radicand(params, kappa, gamma, sym)
     if rad < -RADICAND_TOLERANCE:
         raise ExponentNotReal(f"centrifugal radicand = {rad} < 0 at e = {e}")
     w = math.sqrt(max(bsq, 0.0)) / (2.0 * params.screening)
@@ -475,75 +512,51 @@ def _normalized(component: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, float
     return out, raw_norm
 
 
-def lower_component_pspin(
+def dominant_component(
     params: PhysicalParams,
     sol: Union[EnergySolution, float],
     n: int,
     kappa: int,
     r_grid: np.ndarray,
+    symmetry: str,
 ) -> np.ndarray:
-    """L2-normalized lower radial component of a pseudospin state."""
-    g_raw, _ = _component_raw(params, _energy_of(sol), n, kappa, PSPIN, r_grid)
-    g, _ = _normalized(g_raw, r_grid)
-    return g
+    """L2-normalized closed-form component: the lower one of a pseudospin
+    state, the upper one of a spin state."""
+    raw, _ = _component_raw(params, _energy_of(sol), n, kappa, symmetry, r_grid)
+    out, _ = _normalized(raw, r_grid)
+    return out
 
 
-def upper_from_lower(
+def companion_component(
     params: PhysicalParams,
     sol: Union[EnergySolution, float],
-    g_samples: np.ndarray,
+    dominant_samples: np.ndarray,
     r_grid: np.ndarray,
     n: int,
     kappa: int,
+    symmetry: str,
 ) -> np.ndarray:
-    """Companion upper component from the first-order coupling, with the
-    derivative taken analytically through the polynomial chain rule."""
+    """Companion from the first-order coupling, (d/dr + s*(kappa + H)/r)
+    applied to the dominant component over s*gamma, with the derivative taken
+    analytically through the polynomial chain rule."""
     e = _energy_of(sol)
-    denom = params.mass - e + params.c_pspin
+    sym = symmetry_record(symmetry)
+    denom = sym.sign * _couplings(params, e, sym)[0]
     if abs(denom) < THRESHOLD_TOLERANCE:
-        raise EnergyAtThreshold(f"e = {e} sits at the pseudospin threshold")
-    g_raw, dg_raw = _component_raw(params, e, n, kappa, PSPIN, r_grid)
-    anchor = int(np.argmax(np.abs(g_raw)))
-    if g_raw[anchor] == 0.0:
-        raise ExponentNotReal("degenerate lower component")
-    scale = g_samples[anchor] / g_raw[anchor]
+        raise EnergyAtThreshold(f"e = {e} sits at the {symmetry} threshold")
+    raw, draw = _component_raw(params, e, n, kappa, symmetry, r_grid)
+    anchor = int(np.argmax(np.abs(raw)))
+    if raw[anchor] == 0.0:
+        raise ExponentNotReal(f"degenerate {sym.dominant} component")
+    scale = dominant_samples[anchor] / raw[anchor]
     shifted = kappa + params.tensor_h
-    return scale * (dg_raw - (shifted / r_grid) * g_raw) / denom
+    return scale * (draw + sym.sign * (shifted / r_grid) * raw) / denom
 
 
-def upper_component_spin(
-    params: PhysicalParams,
-    sol: Union[EnergySolution, float],
-    n: int,
-    kappa: int,
-    r_grid: np.ndarray,
-) -> np.ndarray:
-    """L2-normalized upper radial component of a spin state."""
-    f_raw, _ = _component_raw(params, _energy_of(sol), n, kappa, SPIN, r_grid)
-    f, _ = _normalized(f_raw, r_grid)
-    return f
-
-
-def lower_from_upper(
-    params: PhysicalParams,
-    sol: Union[EnergySolution, float],
-    f_samples: np.ndarray,
-    r_grid: np.ndarray,
-    n: int,
-    kappa: int,
-) -> np.ndarray:
-    """Companion lower component of a spin state."""
-    e = _energy_of(sol)
-    denom = params.mass + e - params.c_spin
-    if abs(denom) < THRESHOLD_TOLERANCE:
-        raise EnergyAtThreshold(f"e = {e} sits at the spin threshold")
-    f_raw, df_raw = _component_raw(params, e, n, kappa, SPIN, r_grid)
-    anchor = int(np.argmax(np.abs(f_raw)))
-    if f_raw[anchor] == 0.0:
-        raise ExponentNotReal("degenerate upper component")
-    scale = f_samples[anchor] / f_raw[anchor]
-    shifted = kappa + params.tensor_h
-    return scale * (df_raw + (shifted / r_grid) * f_raw) / denom
+lower_component_pspin = partial(dominant_component, symmetry=PSPIN)
+upper_component_spin = partial(dominant_component, symmetry=SPIN)
+upper_from_lower = partial(companion_component, symmetry=PSPIN)
+lower_from_upper = partial(companion_component, symmetry=SPIN)
 
 
 def assemble_wavefunction(
@@ -556,45 +569,45 @@ def assemble_wavefunction(
     points: int = 2001,
 ) -> RadialWavefunction:
     """Both radial components on a grid, dominant component L2-normalized."""
-    _check_symmetry(symmetry)
+    sym = symmetry_record(symmetry)
     e = _energy_of(sol)
     if r_grid is None:
         r_grid = default_r_grid(params, e, n, kappa, symmetry, points)
-    if symmetry == PSPIN:
-        lower = lower_component_pspin(params, e, n, kappa, r_grid)
-        upper = upper_from_lower(params, e, lower, r_grid, n, kappa)
-        dominant = lower
-    else:
-        upper = upper_component_spin(params, e, n, kappa, r_grid)
-        lower = lower_from_upper(params, e, upper, r_grid, n, kappa)
-        dominant = upper
+    dominant = dominant_component(params, e, n, kappa, r_grid, symmetry)
+    companion = companion_component(params, e, dominant, r_grid, n, kappa, symmetry)
     norm = math.sqrt(float(_trapezoid(dominant**2, r_grid)))
     return RadialWavefunction(
         r_grid=r_grid,
-        upper=upper,
-        lower=lower,
         norm=norm,
         s_map=np.exp(-2.0 * params.screening * r_grid),
         symmetry=symmetry,
         e=e,
         n=n,
         kappa=kappa,
+        **{sym.dominant: dominant, sym.companion: companion},
     )
 
 
-def fd_derivative_gap(params: PhysicalParams, wf: RadialWavefunction, step: float = 1.0e-6) -> float:
-    """Largest gap between the analytic derivative of the dominant component
-    and a small-step central difference of its closed form."""
+def _derivatives(
+    params: PhysicalParams, wf: RadialWavefunction, step: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Small-step central difference and analytic derivative of the dominant
+    component's closed form, both scaled to the dumped normalization."""
     r = wf.r_grid
     h = min(step, 0.5 * float(r[0]))
     raw0, draw = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r)
     plus, _ = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r + h)
     minus, _ = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r - h)
-    dominant = wf.lower if wf.symmetry == PSPIN else wf.upper
     anchor = int(np.argmax(np.abs(raw0)))
-    scale = dominant[anchor] / raw0[anchor]
-    d_fd = scale * (plus - minus) / (2.0 * h)
-    return float(np.max(np.abs(d_fd - scale * draw)))
+    scale = wf.dominant[anchor] / raw0[anchor]
+    return scale * (plus - minus) / (2.0 * h), scale * draw
+
+
+def fd_derivative_gap(params: PhysicalParams, wf: RadialWavefunction, step: float = 1.0e-6) -> float:
+    """Largest gap between the analytic derivative of the dominant component
+    and a small-step central difference of its closed form."""
+    d_fd, d_exact = _derivatives(params, wf, step)
+    return float(np.max(np.abs(d_fd - d_exact)))
 
 
 def first_order_residual(params: PhysicalParams, wf: RadialWavefunction) -> float:
@@ -604,23 +617,11 @@ def first_order_residual(params: PhysicalParams, wf: RadialWavefunction) -> floa
     small-step central-difference derivative of the dominant component's
     closed form, normalized by the largest magnitude of the companion side.
     """
-    r = wf.r_grid
-    h = min(1.0e-6, 0.5 * float(r[0]))
-    raw0, _ = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r)
-    plus, _ = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r + h)
-    minus, _ = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r - h)
-    anchor = int(np.argmax(np.abs(raw0)))
+    sym = symmetry_record(wf.symmetry)
+    d_fd, _ = _derivatives(params, wf, 1.0e-6)
     shifted = wf.kappa + params.tensor_h
-    if wf.symmetry == PSPIN:
-        scale = wf.lower[anchor] / raw0[anchor]
-        d_fd = scale * (plus - minus) / (2.0 * h)
-        lhs = d_fd - (shifted / r) * wf.lower
-        rhs = (params.mass - wf.e + params.c_pspin) * wf.upper
-    else:
-        scale = wf.upper[anchor] / raw0[anchor]
-        d_fd = scale * (plus - minus) / (2.0 * h)
-        lhs = d_fd + (shifted / r) * wf.upper
-        rhs = (params.mass + wf.e - params.c_spin) * wf.lower
+    lhs = d_fd + sym.sign * (shifted / wf.r_grid) * wf.dominant
+    rhs = sym.sign * _couplings(params, wf.e, sym)[0] * getattr(wf, sym.companion)
     scale_norm = max(float(np.max(np.abs(rhs))), 1.0e-300)
     return float(np.max(np.abs(lhs - rhs))) / scale_norm
 
@@ -630,10 +631,9 @@ def first_order_residual(params: PhysicalParams, wf: RadialWavefunction) -> floa
 
 
 def partner_kappa(kappa: int, tensor_h: float, symmetry: str) -> int:
-    """Partner sharing the residual at the given tensor strength."""
-    _check_symmetry(symmetry)
-    shift = 1 if symmetry == PSPIN else -1
-    partner = shift - 2.0 * tensor_h - kappa
+    """Partner sharing the residual at the given tensor strength:
+    -s - 2H - kappa."""
+    partner = -symmetry_record(symmetry).sign - 2.0 * tensor_h - kappa
     rounded = round(partner)
     if abs(partner - rounded) > 1.0e-9:
         raise ValueError(f"partner kappa {partner} is not an integer")
@@ -668,7 +668,7 @@ def doublet_splitting_report(
     -1 - kappa (spin). ``moved_opposite`` compares each member's shift from
     its own zero-tensor energy; entries without roots propagate as None.
     """
-    _check_symmetry(symmetry)
+    symmetry_record(symmetry)
     rows: List[SplittingRow] = []
     for n, kappa in pairs:
         partner = partner_kappa(kappa, 0.0, symmetry)

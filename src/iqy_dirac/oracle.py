@@ -12,13 +12,16 @@ The effective potential is held in the split form
     W(r, E) = c0(r) + gamma(E) * c1(r) + beta_sq(E)
 
 so a whole vector of trial energies marches in one pass during scans, while
-root polishing runs a plain-float fast path.
+root polishing runs a plain-float fast path. Each march is written in one
+direction: an inward march is the outward recurrence run over the reversed
+grid, seeded with the decaying large-r solution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,16 +134,18 @@ def _centrifugal_fn(screening: float, approximate: bool) -> Callable:
     return approx
 
 
-def _iqy_family(
+def iqy_family(
     params: PhysicalParams,
     kappa: int,
     symmetry: str,
-    approximate: bool,
-    r_min: Optional[float],
-    r_max: Optional[float],
-    step: Optional[float],
-    hard_wall: bool,
+    approximate: bool = True,
+    r_min: Optional[float] = None,
+    r_max: Optional[float] = None,
+    step: Optional[float] = None,
+    hard_wall: bool = False,
 ) -> ProblemFamily:
+    """Spin or pseudospin radial problem, approximated or exact centrifugal
+    factor."""
     alpha = params.screening
     h = step if step is not None else 1.0e-3 / alpha
     shifted = effective_centrifugal(kappa, params.tensor_h, symmetry)
@@ -191,30 +196,8 @@ def _iqy_family(
     )
 
 
-def pspin_family(
-    params: PhysicalParams,
-    kappa: int,
-    approximate: bool = True,
-    r_min: Optional[float] = None,
-    r_max: Optional[float] = None,
-    step: Optional[float] = None,
-    hard_wall: bool = False,
-) -> ProblemFamily:
-    """Pseudospin radial problem, approximated or exact centrifugal factor."""
-    return _iqy_family(params, kappa, PSPIN, approximate, r_min, r_max, step, hard_wall)
-
-
-def spin_family(
-    params: PhysicalParams,
-    kappa: int,
-    approximate: bool = True,
-    r_min: Optional[float] = None,
-    r_max: Optional[float] = None,
-    step: Optional[float] = None,
-    hard_wall: bool = False,
-) -> ProblemFamily:
-    """Spin radial problem, approximated or exact centrifugal factor."""
-    return _iqy_family(params, kappa, SPIN, approximate, r_min, r_max, step, hard_wall)
+pspin_family = partial(iqy_family, symmetry=PSPIN)
+spin_family = partial(iqy_family, symmetry=SPIN)
 
 
 def coulomb_family(
@@ -288,56 +271,40 @@ def _outward_seed_scalar(family: ProblemFamily, e: float) -> Tuple[float, float]
     return u0, u1
 
 
+def _inward_seed_scalar(family: ProblemFamily, g2: float) -> Tuple[float, float]:
+    if g2 <= 0.0:
+        raise SeedUndefined("beta^2 <= 0: no decaying large-r seed")
+    return math.exp(-math.sqrt(g2) * family.step), 1.0
+
+
 def _sweep_scalar(
     family: ProblemFamily, e: float, m_idx: int, outward: bool
 ) -> Tuple[List[float], int]:
-    """Plain-float march to the far side of the match window."""
-    r = family.r
+    """Plain-float march to the far side of the match window. An inward
+    march is the same loop over the reversed grid, its window read back in
+    grid order."""
     h = family.step
-    n_grid = len(r)
     g1 = float(family.gamma(e))
     g2 = float(family.beta_sq(e))
     c0, c1 = family._c0_list, family._c1_list
+    if outward:
+        u_prev, u_curr = _outward_seed_scalar(family, e)
+    else:
+        u_prev, u_curr = _inward_seed_scalar(family, g2)
+        c0, c1 = c0[::-1], c1[::-1]
+        m_idx = len(c0) - 1 - m_idx
     h2 = h * h / 12.0
     window = [math.nan] * 5
     nodes = 0
-
-    if outward:
-        u_prev, u_curr = _outward_seed_scalar(family, e)
-        f_prev = c0[0] + c1[0] * g1 + g2
-        f_curr = c0[1] + c1[1] * g1 + g2
-        lo_i, hi_i = m_idx - 2, m_idx + 2
-        for i in range(2, m_idx + 3):
-            f_new = c0[i] + c1[i] * g1 + g2
-            u_new = (
-                2.0 * u_curr * (1.0 + 5.0 * h2 * f_curr) - u_prev * (1.0 - h2 * f_prev)
-            ) / (1.0 - h2 * f_new)
-            if i <= m_idx and u_new * u_curr < 0.0:
-                nodes += 1
-            if lo_i <= i <= hi_i:
-                window[i - lo_i] = u_new
-            else:
-                mag = abs(u_new)
-                if mag > _OVERFLOW_LIMIT or 0.0 < mag < _UNDERFLOW_LIMIT:
-                    u_curr /= mag
-                    u_new /= mag
-            u_prev, u_curr = u_curr, u_new
-            f_prev, f_curr = f_curr, f_new
-        return window, nodes
-
-    if g2 <= 0.0:
-        raise SeedUndefined("beta^2 <= 0: no decaying large-r seed")
-    u_prev = math.exp(-math.sqrt(g2) * h)
-    u_curr = 1.0
-    f_prev = c0[n_grid - 1] + c1[n_grid - 1] * g1 + g2
-    f_curr = c0[n_grid - 2] + c1[n_grid - 2] * g1 + g2
+    f_prev = c0[0] + c1[0] * g1 + g2
+    f_curr = c0[1] + c1[1] * g1 + g2
     lo_i, hi_i = m_idx - 2, m_idx + 2
-    for i in range(n_grid - 3, m_idx - 3, -1):
+    for i in range(2, m_idx + 3):
         f_new = c0[i] + c1[i] * g1 + g2
         u_new = (
             2.0 * u_curr * (1.0 + 5.0 * h2 * f_curr) - u_prev * (1.0 - h2 * f_prev)
         ) / (1.0 - h2 * f_new)
-        if i >= m_idx and u_new * u_curr < 0.0:
+        if i <= m_idx and u_new * u_curr < 0.0:
             nodes += 1
         if lo_i <= i <= hi_i:
             window[i - lo_i] = u_new
@@ -348,7 +315,7 @@ def _sweep_scalar(
                 u_new /= mag
         u_prev, u_curr = u_curr, u_new
         f_prev, f_curr = f_curr, f_new
-    return window, nodes
+    return (window if outward else window[::-1]), nodes
 
 
 def _rescale_vec(u_curr: np.ndarray, u_new: np.ndarray) -> None:
@@ -363,10 +330,10 @@ def _rescale_vec(u_curr: np.ndarray, u_new: np.ndarray) -> None:
 def _sweep_vec(
     family: ProblemFamily, e_vec: np.ndarray, m_idx: int, outward: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized march over a batch of trial energies."""
+    """Vectorized march over a batch of trial energies; inward runs the same
+    loop over reversed views of the grid."""
     r = family.r
     h = family.step
-    n_grid = len(r)
     e_vec = np.atleast_1d(np.asarray(e_vec, dtype=float))
     g1 = np.atleast_1d(np.asarray(family.gamma(e_vec), dtype=float))
     g2 = np.atleast_1d(np.asarray(family.beta_sq(e_vec), dtype=float))
@@ -376,58 +343,42 @@ def _sweep_vec(
     window = np.full((5, cols), np.nan)
     nodes = np.zeros(cols, dtype=np.int64)
 
-    if outward:
-        if family.hard_wall:
-            u_prev = np.zeros(cols)
-            u_curr = np.ones(cols)
-        else:
-            index = np.atleast_1d(np.asarray(family.nu(e_vec), dtype=float))
-            if not np.all(np.isfinite(index)):
-                raise SeedUndefined(
-                    "small-r power-law index is complex inside the window"
-                )
-            v1 = np.atleast_1d(np.asarray(family.lin_coeff(e_vec), dtype=float))
-            a1 = v1 / (2.0 * index)
-            a2 = (
-                v1 * a1 + np.atleast_1d(np.asarray(family.const_coeff(e_vec), dtype=float))
-            ) / (4.0 * index + 2.0)
-            u_prev = (
-                (r[0] / r[1]) ** index
-                * (1.0 + a1 * r[0] + a2 * r[0] * r[0])
-                / (1.0 + a1 * r[1] + a2 * r[1] * r[1])
+    if not outward:
+        if np.any(g2 <= 0.0):
+            raise SeedUndefined("beta^2 <= 0: no decaying large-r seed")
+        u_prev = np.exp(-np.sqrt(g2) * h)
+        u_curr = np.ones(cols)
+        c0, c1 = c0[::-1], c1[::-1]
+        m_idx = len(c0) - 1 - m_idx
+    elif family.hard_wall:
+        u_prev = np.zeros(cols)
+        u_curr = np.ones(cols)
+    else:
+        index = np.atleast_1d(np.asarray(family.nu(e_vec), dtype=float))
+        if not np.all(np.isfinite(index)):
+            raise SeedUndefined(
+                "small-r power-law index is complex inside the window"
             )
-            u_curr = np.ones(cols)
-        f_prev = c0[0] + c1[0] * g1 + g2
-        f_curr = c0[1] + c1[1] * g1 + g2
-        lo_i, hi_i = m_idx - 2, m_idx + 2
-        for i in range(2, m_idx + 3):
-            f_new = c0[i] + c1[i] * g1 + g2
-            u_new = (
-                2.0 * u_curr * (1.0 + 5.0 * h2 * f_curr) - u_prev * (1.0 - h2 * f_prev)
-            ) / (1.0 - h2 * f_new)
-            if i <= m_idx:
-                nodes += u_new * u_curr < 0.0
-            if lo_i <= i <= hi_i:
-                window[i - lo_i] = u_new
-            else:
-                _rescale_vec(u_curr, u_new)
-            u_prev, u_curr = u_curr, u_new
-            f_prev, f_curr = f_curr, f_new
-        return window, nodes
-
-    if np.any(g2 <= 0.0):
-        raise SeedUndefined("beta^2 <= 0: no decaying large-r seed")
-    u_prev = np.exp(-np.sqrt(g2) * h)
-    u_curr = np.ones(cols)
-    f_prev = c0[n_grid - 1] + c1[n_grid - 1] * g1 + g2
-    f_curr = c0[n_grid - 2] + c1[n_grid - 2] * g1 + g2
+        v1 = np.atleast_1d(np.asarray(family.lin_coeff(e_vec), dtype=float))
+        a1 = v1 / (2.0 * index)
+        a2 = (
+            v1 * a1 + np.atleast_1d(np.asarray(family.const_coeff(e_vec), dtype=float))
+        ) / (4.0 * index + 2.0)
+        u_prev = (
+            (r[0] / r[1]) ** index
+            * (1.0 + a1 * r[0] + a2 * r[0] * r[0])
+            / (1.0 + a1 * r[1] + a2 * r[1] * r[1])
+        )
+        u_curr = np.ones(cols)
+    f_prev = c0[0] + c1[0] * g1 + g2
+    f_curr = c0[1] + c1[1] * g1 + g2
     lo_i, hi_i = m_idx - 2, m_idx + 2
-    for i in range(n_grid - 3, m_idx - 3, -1):
+    for i in range(2, m_idx + 3):
         f_new = c0[i] + c1[i] * g1 + g2
         u_new = (
             2.0 * u_curr * (1.0 + 5.0 * h2 * f_curr) - u_prev * (1.0 - h2 * f_prev)
         ) / (1.0 - h2 * f_new)
-        if i >= m_idx:
+        if i <= m_idx:
             nodes += u_new * u_curr < 0.0
         if lo_i <= i <= hi_i:
             window[i - lo_i] = u_new
@@ -435,7 +386,7 @@ def _sweep_vec(
             _rescale_vec(u_curr, u_new)
         u_prev, u_curr = u_curr, u_new
         f_prev, f_curr = f_curr, f_new
-    return window, nodes
+    return (window if outward else window[::-1]), nodes
 
 
 def _mismatch_from_windows(win_o, win_i, h: float):
@@ -570,40 +521,28 @@ def shoot_eigenvalue(
 
 
 def _full_march(problem: RadialProblem, outward: bool) -> np.ndarray:
+    """Whole-grid march; inward is the outward loop over the reversed grid."""
     family = problem.family
-    r, h = family.r, family.step
-    n_grid = len(r)
+    h = family.step
     e = problem.e
     g1 = float(family.gamma(e))
     g2 = float(family.beta_sq(e))
     f = family._c0 + family._c1 * g1 + g2
     h2 = h * h / 12.0
-    u = np.zeros(n_grid)
-
+    u = np.zeros(len(f))
     if outward:
         u[0], u[1] = _outward_seed_scalar(family, e)
-        order = range(2, n_grid)
-        sign = +1
     else:
-        if g2 <= 0.0:
-            raise SeedUndefined("beta^2 <= 0: no decaying large-r seed")
-        u[n_grid - 1] = math.exp(-math.sqrt(g2) * h)
-        u[n_grid - 2] = 1.0
-        order = range(n_grid - 3, -1, -1)
-        sign = -1
-
-    for i in order:
+        u[0], u[1] = _inward_seed_scalar(family, g2)
+        f = f[::-1]
+    for i in range(2, len(u)):
         u[i] = (
-            2.0 * u[i - sign] * (1.0 + 5.0 * h2 * f[i - sign])
-            - u[i - 2 * sign] * (1.0 - h2 * f[i - 2 * sign])
+            2.0 * u[i - 1] * (1.0 + 5.0 * h2 * f[i - 1]) - u[i - 2] * (1.0 - h2 * f[i - 2])
         ) / (1.0 - h2 * f[i])
         mag = abs(u[i])
         if mag > _OVERFLOW_LIMIT or 0.0 < mag < _UNDERFLOW_LIMIT:
-            if outward:
-                u[: i + 1] /= mag
-            else:
-                u[i:] /= mag
-    return u
+            u[: i + 1] /= mag
+    return u if outward else u[::-1]
 
 
 def integrate_outward(problem: RadialProblem) -> Tuple[np.ndarray, np.ndarray]:

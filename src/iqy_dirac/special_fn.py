@@ -8,32 +8,9 @@ assembly evaluates Jacobi polynomials on the mapped exponential variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegreeCapExceeded
 
 DEGREE_CAP = 64
-
-
-@dataclass(frozen=True)
-class PolynomialQuery:
-    """One polynomial evaluation request.
-
-    ``b`` is ignored for Laguerre queries. Parameters above -1 keep the
-    orthogonality-backed properties meaningful; the cap bounds the degree
-    range over which the forward recurrence is accuracy-certified.
-    """
-
-    n: int
-    a: float
-    b: float
-    x: float
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.n}")
-        if self.n > DEGREE_CAP:
-            raise DegreeCapExceeded(f"degree {self.n} above cap {DEGREE_CAP}")
 
 
 def _check_degree(n: int) -> None:

@@ -232,10 +232,12 @@ class TestCrosscheck:
         assert "coulomb anchor" in text
         assert text.count("no bound state on either route") == 3
 
-    def test_corrupted_residual_fails(self, tmp_path):
+    def test_corrupted_residual_fails(self, tmp_path, monkeypatch):
+        closed = cli.coulomb_energy
+        monkeypatch.setattr(cli, "coulomb_energy", lambda *args: closed(*args) + 1e-3)
         cfg = RunConfig(symmetry="pspin", n_min=0, n_max=0, kappas=[-1])
         cfg.out = str(tmp_path / "cc.txt")
-        assert cmd_crosscheck(cfg, _corrupt=1e-3) == 3
+        assert cmd_crosscheck(cfg) == 3
 
     def test_quality_column_shrinks(self, tmp_path):
         out = tmp_path / "cc.txt"
@@ -302,6 +304,16 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "crosscheck", "wavefunction"])
+    def test_window_outside_strict_domain_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        code = run_main([command, "--symmetry", "spin", "--window", "4,5.5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_symmetry_in_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "r.cfg"

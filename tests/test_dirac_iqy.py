@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from iqy_dirac.dirac_iqy import (
     PSPIN,
     SPIN,
+    WINDOW_MARGIN,
     PhysicalParams,
     _rearranged_vec,
     attach_radial_number,
@@ -366,6 +367,15 @@ class TestSolveEnergies:
             assert sol.n == 1 and sol.kappa == -1 and sol.tensor_h == 5.0
             assert sol.lambda_or_eta == effective_centrifugal(-1, 5.0, PSPIN)
             assert sol.beta_sq == pytest.approx(beta_squared(p, sol.e, PSPIN), rel=1e-12)
+
+    @given(**PARAMS)
+    @settings(max_examples=200, deadline=None)
+    def test_inner_root_cap_never_binds_for_pspin(self, n, kappa, symmetry, **physical):
+        # the cap C - s*M + (lambda - 1/2)^2 / V0 starts at the pseudospin
+        # upper threshold C + M, so the scan window is the strict one
+        p = drawn_params(**physical)
+        lo, hi = strict_window(p, PSPIN)
+        assert scan_window(p, n, kappa, PSPIN) == (lo + WINDOW_MARGIN, hi - WINDOW_MARGIN)
 
     def test_strict_window_empty_raises(self):
         with pytest.raises(EmptyWindow):

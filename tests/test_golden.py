@@ -1,8 +1,9 @@
 """CLI outputs pinned byte for byte.
 
 The files under ``tests/data`` were written by the CLI before the root finder
-was vectorized; any difference, including the noise-level residual column, is
-a regression, not a reason to regenerate them.
+was vectorized, the spin wavefunction and crosscheck files before spin and
+pseudospin were merged into one symmetry record. Any difference, including the
+noise-level residual column, is a regression, not a reason to regenerate them.
 """
 
 from pathlib import Path
@@ -26,6 +27,13 @@ GOLDEN = {
     "reproduce_tables.txt": ["reproduce-tables"],
     "wavefunction_pspin.csv": [
         "wavefunction", "--symmetry", "pspin", "--n-min", "1", "--kappa", "-1",
+    ],
+    "wavefunction_spin.json": [
+        "wavefunction", "--symmetry", "spin", "--n-min", "0", "--kappa", "-2", "--format", "json",
+    ],
+    # the Coulomb anchors plus one spin Numerov march
+    "crosscheck_spin.txt": [
+        "crosscheck", "--symmetry", "spin", "--n-min", "0", "--n-max", "0", "--kappa", "-2",
     ],
 }
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 from iqy_dirac.errors import DegreeCapExceeded
-from iqy_dirac.special_fn import DEGREE_CAP, PolynomialQuery, jacobi, jacobi_derivative, laguerre
+from iqy_dirac.special_fn import DEGREE_CAP, jacobi, jacobi_derivative, laguerre
 
 
 def _rising(z, m):
@@ -163,11 +163,3 @@ class TestLaguerre:
         with pytest.raises(DegreeCapExceeded):
             laguerre(DEGREE_CAP + 1, 0.0, 1.0)
 
-
-def test_polynomial_query_validation():
-    q = PolynomialQuery(n=3, a=0.5, b=0.5, x=0.1)
-    assert q.n == 3
-    with pytest.raises(DegreeCapExceeded):
-        PolynomialQuery(n=DEGREE_CAP + 1, a=0.0, b=0.0, x=0.0)
-    with pytest.raises(ValueError):
-        PolynomialQuery(n=-2, a=0.0, b=0.0, x=0.0)
