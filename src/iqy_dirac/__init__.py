@@ -46,7 +46,6 @@ from .nu_engine import (
 )
 from .oracle import (
     ProblemFamily,
-    RadialProblem,
     coulomb_family,
     count_nodes,
     integrate_inward,

@@ -192,6 +192,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     fmt = pick(args.fmt, "format")
     if fmt is not None:
         cfg.fmt = fmt
+    # wavefunction's single-state flags narrow the configured ranges
+    if getattr(args, "n", None) is not None:
+        cfg.n_min = cfg.n_max = args.n
+    if getattr(args, "single_kappa", None) is not None:
+        cfg.kappas = [args.single_kappa]
     cfg.validate()
     return cfg
 
@@ -290,9 +295,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # wavefunction
 
 
-def cmd_wavefunction(cfg: RunConfig, n: Optional[int] = None, kappa: Optional[int] = None) -> int:
-    n = cfg.n_min if n is None else n
-    kappa = cfg.kappas[0] if kappa is None else kappa
+def cmd_wavefunction(cfg: RunConfig) -> int:
+    n, kappa = cfg.n_min, cfg.kappas[0]
     params = cfg.physical(cfg.tensor_h[0])
     sols = solve_energies(params, n, kappa, cfg.symmetry, window=cfg.window, tol=cfg.tol, mode="relaxed")
     sol = select_branch_root(sols, cfg.symmetry)
@@ -568,7 +572,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "crosscheck":
             return cmd_crosscheck(cfg)
         if args.command == "wavefunction":
-            return cmd_wavefunction(cfg, n=args.n, kappa=args.single_kappa)
+            return cmd_wavefunction(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, EmptyWindow, NoRoot) as exc:
         print(f"error: {exc}", file=sys.stderr)

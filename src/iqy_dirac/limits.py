@@ -12,11 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IqyDiracError, NegativeRadicand
-
-
-class DegenerateDenominator(IqyDiracError):
-    """Closed-form Coulomb denominator vanished."""
+from .errors import NegativeRadicand
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,4 @@ def coulomb_energy(mass: float, b_coeff: float, n: int, kappa: int) -> float:
     if n + kappa == 0:
         raise ValueError("n + kappa must be nonzero")
     four_nk_sq = 4.0 * (n + kappa) ** 2
-    denom = four_nk_sq + b_coeff**2
-    if denom == 0.0:
-        raise DegenerateDenominator("4*(n+kappa)^2 + B^2 vanished")
-    return -mass * (four_nk_sq - b_coeff**2) / denom
+    return -mass * (four_nk_sq - b_coeff**2) / (four_nk_sq + b_coeff**2)

@@ -12,9 +12,9 @@ The effective potential is held in the split form
     W(r, E) = c0(r) + gamma(E) * c1(r) + beta_sq(E)
 
 so a whole vector of trial energies marches in one pass during scans, while
-root polishing runs a plain-float fast path. Each march is written in one
-direction: an inward march is the outward recurrence run over the reversed
-grid, seeded with the decaying large-r solution.
+root polishing and whole-grid integration share one plain-float march. Each
+march is written in one direction: an inward march is the outward recurrence
+run over the reversed grid, seeded with the decaying large-r solution.
 """
 
 from __future__ import annotations
@@ -86,36 +86,15 @@ class ProblemFamily:
         self._c0_list = self._c0.tolist()
         self._c1_list = self._c1.tolist()
 
-    def w_grid(self, e: float) -> np.ndarray:
-        return self._c0 + float(self.gamma(e)) * self._c1 + float(self.beta_sq(e))
-
-    def problem(self, e: float) -> "RadialProblem":
-        return RadialProblem(family=self, e=float(e))
-
-
-@dataclass
-class RadialProblem:
-    """A problem family pinned at one trial energy."""
-
-    family: ProblemFamily
-    e: float
-
-    @property
-    def r_min(self) -> float:
-        return self.family.r_min
-
-    @property
-    def r_max(self) -> float:
-        return self.family.r_max
-
-    @property
-    def step(self) -> float:
-        return self.family.step
-
-    def effective_potential(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        fam = self.family
-        return fam.c0_fn(r) + fam.gamma(self.e) * fam.c1_fn(r) + fam.beta_sq(self.e)
+    def effective_potential(self, e: float, r=None) -> np.ndarray:
+        """W(r, e); on the family's grid, from the cached coefficients, when
+        ``r`` is None."""
+        if r is None:
+            c0, c1 = self._c0, self._c1
+        else:
+            r = np.asarray(r, dtype=float)
+            c0, c1 = self.c0_fn(r), self.c1_fn(r)
+        return c0 + float(self.gamma(e)) * c1 + float(self.beta_sq(e))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +247,7 @@ def _outward_seed_scalar(family: ProblemFamily, e: float) -> Tuple[float, float]
     u1 = r1**index * (1.0 + a1 * r1 + a2 * r1 * r1)
     if u1 != 0.0:
         u0, u1 = u0 / u1, 1.0
-    return u0, u1
+    return float(u0), float(u1)
 
 
 def _inward_seed_scalar(family: ProblemFamily, g2: float) -> Tuple[float, float]:
@@ -277,13 +256,16 @@ def _inward_seed_scalar(family: ProblemFamily, g2: float) -> Tuple[float, float]
     return math.exp(-math.sqrt(g2) * family.step), 1.0
 
 
-def _sweep_scalar(
-    family: ProblemFamily, e: float, m_idx: int, outward: bool
+def _march(
+    family: ProblemFamily, e: float, outward: bool, stop: int, keep: int
 ) -> Tuple[List[float], int]:
-    """Plain-float march to the far side of the match window. An inward
-    march is the same loop over the reversed grid, its window read back in
-    grid order."""
-    h = family.step
+    """Plain-float march through index ``stop`` counted from the starting
+    boundary; an inward march is the same loop over the reversed grid.
+
+    Returns the last ``keep`` samples, in march order and on one scale (a
+    rescale divides the samples already kept), and the sign changes through
+    index ``stop - 2``.
+    """
     g1 = float(family.gamma(e))
     g2 = float(family.beta_sq(e))
     c0, c1 = family._c0_list, family._c1_list
@@ -292,30 +274,30 @@ def _sweep_scalar(
     else:
         u_prev, u_curr = _inward_seed_scalar(family, g2)
         c0, c1 = c0[::-1], c1[::-1]
-        m_idx = len(c0) - 1 - m_idx
-    h2 = h * h / 12.0
-    window = [math.nan] * 5
+    h2 = family.step * family.step / 12.0
+    first = stop + 1 - keep
+    kept = [u_prev, u_curr][first:]
+    last_node = stop - 2
     nodes = 0
     f_prev = c0[0] + c1[0] * g1 + g2
     f_curr = c0[1] + c1[1] * g1 + g2
-    lo_i, hi_i = m_idx - 2, m_idx + 2
-    for i in range(2, m_idx + 3):
+    for i in range(2, stop + 1):
         f_new = c0[i] + c1[i] * g1 + g2
         u_new = (
             2.0 * u_curr * (1.0 + 5.0 * h2 * f_curr) - u_prev * (1.0 - h2 * f_prev)
         ) / (1.0 - h2 * f_new)
-        if i <= m_idx and u_new * u_curr < 0.0:
+        if i <= last_node and u_new * u_curr < 0.0:
             nodes += 1
-        if lo_i <= i <= hi_i:
-            window[i - lo_i] = u_new
-        else:
-            mag = abs(u_new)
-            if mag > _OVERFLOW_LIMIT or 0.0 < mag < _UNDERFLOW_LIMIT:
-                u_curr /= mag
-                u_new /= mag
+        if i >= first:
+            kept.append(u_new)
+        mag = abs(u_new)
+        if mag > _OVERFLOW_LIMIT or 0.0 < mag < _UNDERFLOW_LIMIT:
+            u_curr /= mag
+            u_new /= mag
+            kept = [u / mag for u in kept]
         u_prev, u_curr = u_curr, u_new
         f_prev, f_curr = f_curr, f_new
-    return (window if outward else window[::-1]), nodes
+    return kept, nodes
 
 
 def _rescale_vec(u_curr: np.ndarray, u_new: np.ndarray) -> None:
@@ -406,11 +388,11 @@ def _match_vec(
 
 
 def _match_scalar(family: ProblemFamily, e: float, m_idx: int) -> Tuple[float, int]:
-    win_o, nodes_o = _sweep_scalar(family, e, m_idx, outward=True)
-    win_i, nodes_i = _sweep_scalar(family, e, m_idx, outward=False)
-    win_o = np.asarray(win_o)
-    win_i = np.asarray(win_i)
-    return float(_mismatch_from_windows(win_o, win_i, family.step)), nodes_o + nodes_i
+    last = len(family.r) - 1
+    win_o, nodes_o = _march(family, e, True, m_idx + 2, 5)
+    win_i, nodes_i = _march(family, e, False, last - m_idx + 2, 5)
+    mismatch = _mismatch_from_windows(np.asarray(win_o), np.asarray(win_i[::-1]), family.step)
+    return float(mismatch), nodes_o + nodes_i
 
 
 def _match_index(family: ProblemFamily, window: Tuple[float, float]) -> Optional[int]:
@@ -423,7 +405,7 @@ def _match_index(family: ProblemFamily, window: Tuple[float, float]) -> Optional
     n_grid = len(family.r)
     best_idx, best_depth = None, 0.0
     for e in np.linspace(lo, hi, 33):
-        w = family.w_grid(float(e))
+        w = family.effective_potential(float(e))
         idx = int(np.argmin(w[4 : n_grid - 5])) + 4
         if w[idx] < best_depth:
             best_depth, best_idx = float(w[idx]), idx
@@ -481,12 +463,11 @@ def scan_eigenvalues(
     e_grid = np.linspace(lo + pad, hi - pad, scan_points)
     fvals, _ = _match_vec(family, e_grid, m_idx)
 
+    finite = np.isfinite(fvals)
+    cells = np.flatnonzero(finite[:-1] & finite[1:] & (fvals[:-1] * fvals[1:] < 0.0))
     results: List[Tuple[float, int]] = []
-    for i in range(scan_points - 1):
-        fa, fb = fvals[i], fvals[i + 1]
-        if not (np.isfinite(fa) and np.isfinite(fb)) or fa * fb >= 0.0:
-            continue
-        root = _refine(family, m_idx, e_grid[i], e_grid[i + 1], fa, fb, tol)
+    for i in cells:
+        root = _refine(family, m_idx, e_grid[i], e_grid[i + 1], fvals[i], fvals[i + 1], tol)
         _, nodes = _match_scalar(family, root, m_idx)
         results.append((float(root), int(nodes)))
     return results
@@ -520,39 +501,16 @@ def shoot_eigenvalue(
 # Single-energy integrations and node counting
 
 
-def _full_march(problem: RadialProblem, outward: bool) -> np.ndarray:
-    """Whole-grid march; inward is the outward loop over the reversed grid."""
-    family = problem.family
-    h = family.step
-    e = problem.e
-    g1 = float(family.gamma(e))
-    g2 = float(family.beta_sq(e))
-    f = family._c0 + family._c1 * g1 + g2
-    h2 = h * h / 12.0
-    u = np.zeros(len(f))
-    if outward:
-        u[0], u[1] = _outward_seed_scalar(family, e)
-    else:
-        u[0], u[1] = _inward_seed_scalar(family, g2)
-        f = f[::-1]
-    for i in range(2, len(u)):
-        u[i] = (
-            2.0 * u[i - 1] * (1.0 + 5.0 * h2 * f[i - 1]) - u[i - 2] * (1.0 - h2 * f[i - 2])
-        ) / (1.0 - h2 * f[i])
-        mag = abs(u[i])
-        if mag > _OVERFLOW_LIMIT or 0.0 < mag < _UNDERFLOW_LIMIT:
-            u[: i + 1] /= mag
-    return u if outward else u[::-1]
-
-
-def integrate_outward(problem: RadialProblem) -> Tuple[np.ndarray, np.ndarray]:
+def integrate_outward(family: ProblemFamily, e: float) -> Tuple[np.ndarray, np.ndarray]:
     """Regular solution marched from the inner boundary; arbitrary scale."""
-    return problem.family.r, _full_march(problem, outward=True)
+    samples, _ = _march(family, e, True, len(family.r) - 1, len(family.r))
+    return family.r, np.array(samples)
 
 
-def integrate_inward(problem: RadialProblem) -> Tuple[np.ndarray, np.ndarray]:
+def integrate_inward(family: ProblemFamily, e: float) -> Tuple[np.ndarray, np.ndarray]:
     """Decaying solution marched from the outer boundary; arbitrary scale."""
-    return problem.family.r, _full_march(problem, outward=False)
+    samples, _ = _march(family, e, False, len(family.r) - 1, len(family.r))
+    return family.r, np.array(samples[::-1])
 
 
 def count_nodes(samples: Sequence[float]) -> int:

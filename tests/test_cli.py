@@ -315,6 +315,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag", [["--n=-1"], ["--single-kappa=0"]], ids=lambda flag: flag[0].lstrip("-")
+    )
+    def test_single_state_flags_validated(self, flag, tmp_path, capsys):
+        out = tmp_path / "wf.csv"
+        code = run_main(["wavefunction", "--symmetry", "pspin", *flag, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_symmetry_in_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "r.cfg"
         cfg_file.write_text("symmetry = sideways\n")

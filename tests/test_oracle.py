@@ -8,6 +8,9 @@ from iqy_dirac.errors import NodeMismatch, NoRootInWindow, SeedUndefined
 from iqy_dirac.limits import coulomb_energy
 from iqy_dirac.oracle import (
     ProblemFamily,
+    _match_index,
+    _match_scalar,
+    _match_vec,
     coulomb_family,
     count_nodes,
     integrate_inward,
@@ -63,7 +66,7 @@ class TestCountNodes:
 class TestIntegration:
     def test_free_solution_matches_sinh(self):
         family = constant_family(beta_sq=1.0, index=1.0)
-        r, u = integrate_outward(family.problem(0.0))
+        r, u = integrate_outward(family, 0.0)
         i_ref = int(np.argmin(np.abs(r - 0.5)))
         i_probe = int(np.argmin(np.abs(r - 1.0)))
         scale = math.sinh(r[i_ref]) / u[i_ref]
@@ -72,7 +75,7 @@ class TestIntegration:
 
     def test_inward_solution_matches_decay(self):
         family = constant_family(beta_sq=4.0, index=1.0, r_max=8.0, step=1e-3)
-        r, u = integrate_inward(family.problem(0.0))
+        r, u = integrate_inward(family, 0.0)
         # pure exponential exp(-2r) away from the inner edge
         i1 = int(np.argmin(np.abs(r - 5.0)))
         i2 = int(np.argmin(np.abs(r - 6.0)))
@@ -83,14 +86,26 @@ class TestIntegration:
         family = constant_family(
             beta_sq=1.0, index=2.0, c0=lambda r: 2.0 / (r * r), r_min=1e-5, r_max=1.0, step=1e-5
         )
-        r, u = integrate_outward(family.problem(0.0))
+        r, u = integrate_outward(family, 0.0)
         i_double = int(np.argmin(np.abs(r - 2.0 * r[0])))
         assert u[i_double] / u[0] == pytest.approx((r[i_double] / r[0]) ** 2.0, rel=1e-6)
+
+    def test_rescaled_march_keeps_one_scale(self):
+        # both marches grow past the 1e100 rescale limit, so every kept
+        # sample must be divided along with the running pair
+        family = constant_family(beta_sq=100.0, index=1.0, r_min=1e-4, r_max=30.0, step=1e-3)
+        r, u = integrate_outward(family, 0.0)
+        i1, i2 = (int(np.argmin(np.abs(r - x))) for x in (20.0, 26.0))
+        expected = math.sinh(10.0 * r[i2]) / math.sinh(10.0 * r[i1])
+        assert u[i2] / u[i1] == pytest.approx(expected, rel=1e-7)
+        r, u = integrate_inward(family, 0.0)
+        i1, i2 = (int(np.argmin(np.abs(r - x))) for x in (4.0, 27.0))
+        assert u[i2] / u[i1] == pytest.approx(math.exp(-10.0 * (r[i2] - r[i1])), rel=1e-7)
 
     def test_inward_seed_undefined(self):
         family = constant_family(beta_sq=-1.0)
         with pytest.raises(SeedUndefined):
-            integrate_inward(family.problem(0.0))
+            integrate_inward(family, 0.0)
 
     def test_outward_seed_undefined_for_complex_index(self):
         family = ProblemFamily(
@@ -104,7 +119,7 @@ class TestIntegration:
             step=1e-3,
         )
         with pytest.raises(SeedUndefined):
-            integrate_outward(family.problem(0.0))
+            integrate_outward(family, 0.0)
 
 
 class TestCoulombAnchor:
@@ -207,13 +222,39 @@ class TestIqyProblems:
             assert scan_eigenvalues(family, window, tol=1e-9) == []
 
 
+class TestKernels:
+    """The scalar march that refines roots and the batched march that scans
+    for them compute the same matching function."""
+
+    @staticmethod
+    def _case(name):
+        if name == "coulomb":
+            return coulomb_family(1.0, -1.0, 1), (-0.999, -0.02)
+        p = caption_params(screening=0.1)
+        if name == "spin":
+            return spin_family(p, -2), scan_window(p, 0, -2, SPIN)
+        family = spin_family(p, -2, r_min=0.05, r_max=15.0, step=1e-3, hard_wall=True)
+        return family, (3.5, 4.9)
+
+    @pytest.mark.parametrize("name", ["coulomb", "spin", "hard_wall"])
+    def test_scalar_and_batched_match_agree(self, name):
+        family, (lo, hi) = self._case(name)
+        # the automatic match point and one that leaves both marches long
+        energies = np.linspace(lo, hi, 9)[1:-1]
+        for m_idx in (_match_index(family, (lo, hi)), len(family.r) // 2):
+            f_batched, nodes_batched = _match_vec(family, energies, m_idx)
+            for e, f_b, nodes_b in zip(energies, f_batched, nodes_batched):
+                f_scalar, nodes_scalar = _match_scalar(family, float(e), m_idx)
+                assert abs(f_scalar - f_b) <= 1e-12 * abs(f_b)
+                assert nodes_scalar == nodes_b
+
+
 class TestRadialProblem:
     def test_effective_potential_callable(self):
         p = caption_params()
         family = pspin_family(p, -1)
-        problem = family.problem(-2.0)
         r = np.array([1.0, 2.0, 5.0])
-        w = problem.effective_potential(r)
+        w = family.effective_potential(-2.0, r)
         s = np.exp(-2.0 * p.screening * r)
         cent = 4.0 * p.screening**2 * s / (1.0 - s) ** 2
         lam = -1.0
@@ -221,8 +262,6 @@ class TestRadialProblem:
             (5.0 - 2.0) * (5.0 + 2.0 - 5.5)
         )
         assert np.allclose(w, expected, rtol=1e-12)
-        assert problem.r_min == family.r_min
-        assert problem.step == family.step
 
     def test_grid_geometry(self):
         p = caption_params()
