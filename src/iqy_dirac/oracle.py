@@ -15,6 +15,11 @@ so a whole vector of trial energies marches in one pass during scans, while
 root polishing and whole-grid integration share one plain-float march. Each
 march is written in one direction: an inward march is the outward recurrence
 run over the reversed grid, seeded with the decaying large-r solution.
+
+A march builds its Numerov step coefficients once, before it steps: the
+plain-float march for every row it visits, the batched march in chunks of
+64 grid rows. The loops then only read them, with the same arithmetic as a
+loop that rebuilds W at every step.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ from .errors import NodeMismatch, NoRootInWindow, SeedUndefined
 
 _OVERFLOW_LIMIT = 1.0e100
 _UNDERFLOW_LIMIT = 1.0e-100
+# Grid rows of step coefficients the batched march builds at a time; at 240
+# trial energies one chunk is 0.12 MB per coefficient array.
+_CHUNK_ROWS = 64
 
 
 def _zero_coeff(e):
@@ -69,8 +77,6 @@ class ProblemFamily:
     r: np.ndarray = field(init=False, repr=False)
     _c0: np.ndarray = field(init=False, repr=False)
     _c1: np.ndarray = field(init=False, repr=False)
-    _c0_list: list = field(init=False, repr=False)
-    _c1_list: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.r_min > 0.0:
@@ -83,8 +89,6 @@ class ProblemFamily:
         self.r = self.r_min + self.step * np.arange(count)
         self._c0 = np.asarray(self.c0_fn(self.r), dtype=float)
         self._c1 = np.asarray(self.c1_fn(self.r), dtype=float)
-        self._c0_list = self._c0.tolist()
-        self._c1_list = self._c1.tolist()
 
     def effective_potential(self, e: float, r=None) -> np.ndarray:
         """W(r, e); on the family's grid, from the cached coefficients, when
@@ -256,6 +260,14 @@ def _inward_seed_scalar(family: ProblemFamily, g2: float) -> Tuple[float, float]
     return math.exp(-math.sqrt(g2) * family.step), 1.0
 
 
+def _step_coeffs(c0, c1, g1, g2, h2: float):
+    """Numerov coefficients a = 1 + 5 h^2 W / 12 and b = 1 - h^2 W / 12 on
+    the given grid rows, where ``h2`` is h^2 / 12; one step is
+    u_i = (2 u_{i-1} a_{i-1} - u_{i-2} b_{i-2}) / b_i."""
+    f = c0 + c1 * g1 + g2
+    return 1.0 + 5.0 * h2 * f, 1.0 - h2 * f
+
+
 def _march(
     family: ProblemFamily, e: float, outward: bool, stop: int, keep: int
 ) -> Tuple[List[float], int]:
@@ -268,52 +280,43 @@ def _march(
     """
     g1 = float(family.gamma(e))
     g2 = float(family.beta_sq(e))
-    c0, c1 = family._c0_list, family._c1_list
+    c0, c1 = family._c0, family._c1
     if outward:
         u_prev, u_curr = _outward_seed_scalar(family, e)
     else:
         u_prev, u_curr = _inward_seed_scalar(family, g2)
         c0, c1 = c0[::-1], c1[::-1]
     h2 = family.step * family.step / 12.0
+    a, b = _step_coeffs(c0[: stop + 1], c1[: stop + 1], g1, g2, h2)
+    a, b = a.tolist(), b.tolist()
     first = stop + 1 - keep
     kept = [u_prev, u_curr][first:]
     last_node = stop - 2
     nodes = 0
-    f_prev = c0[0] + c1[0] * g1 + g2
-    f_curr = c0[1] + c1[1] * g1 + g2
-    for i in range(2, stop + 1):
-        f_new = c0[i] + c1[i] * g1 + g2
-        u_new = (
-            2.0 * u_curr * (1.0 + 5.0 * h2 * f_curr) - u_prev * (1.0 - h2 * f_prev)
-        ) / (1.0 - h2 * f_new)
-        if i <= last_node and u_new * u_curr < 0.0:
+    steps = zip(range(2, stop + 1), a[1:stop], b[: stop - 1], b[2 : stop + 1])
+    for i, a_curr, b_prev, b_new in steps:
+        u_new = (2.0 * u_curr * a_curr - u_prev * b_prev) / b_new
+        if u_new * u_curr < 0.0 and i <= last_node:
             nodes += 1
         if i >= first:
             kept.append(u_new)
         mag = abs(u_new)
-        if mag > _OVERFLOW_LIMIT or 0.0 < mag < _UNDERFLOW_LIMIT:
+        if not _UNDERFLOW_LIMIT <= mag <= _OVERFLOW_LIMIT and mag > 0.0:
             u_curr /= mag
             u_new /= mag
             kept = [u / mag for u in kept]
         u_prev, u_curr = u_curr, u_new
-        f_prev, f_curr = f_curr, f_new
     return kept, nodes
-
-
-def _rescale_vec(u_curr: np.ndarray, u_new: np.ndarray) -> None:
-    mag = np.abs(u_new)
-    needs = (mag > _OVERFLOW_LIMIT) | ((mag < _UNDERFLOW_LIMIT) & (mag > 0.0))
-    if np.any(needs):
-        factor = np.where(needs, 1.0 / np.maximum(mag, 1.0e-290), 1.0)
-        u_curr *= factor
-        u_new *= factor
 
 
 def _sweep_vec(
     family: ProblemFamily, e_vec: np.ndarray, m_idx: int, outward: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized march over a batch of trial energies; inward runs the same
-    loop over reversed views of the grid."""
+    loop over reversed views of the grid. The step coefficients are built
+    for ``_CHUNK_ROWS`` grid rows at a time, each chunk repeating the last
+    two rows of the one before, and every step writes into preallocated
+    buffers."""
     r = family.r
     h = family.step
     e_vec = np.atleast_1d(np.asarray(e_vec, dtype=float))
@@ -352,22 +355,33 @@ def _sweep_vec(
             / (1.0 + a1 * r[1] + a2 * r[1] * r[1])
         )
         u_curr = np.ones(cols)
-    f_prev = c0[0] + c1[0] * g1 + g2
-    f_curr = c0[1] + c1[1] * g1 + g2
     lo_i, hi_i = m_idx - 2, m_idx + 2
-    for i in range(2, m_idx + 3):
-        f_new = c0[i] + c1[i] * g1 + g2
-        u_new = (
-            2.0 * u_curr * (1.0 + 5.0 * h2 * f_curr) - u_prev * (1.0 - h2 * f_prev)
-        ) / (1.0 - h2 * f_new)
-        if i <= m_idx:
-            nodes += u_new * u_curr < 0.0
-        if lo_i <= i <= hi_i:
-            window[i - lo_i] = u_new
-        else:
-            _rescale_vec(u_curr, u_new)
-        u_prev, u_curr = u_curr, u_new
-        f_prev, f_curr = f_curr, f_new
+    u_new, prod, mag = np.empty(cols), np.empty(cols), np.empty(cols)
+    crossed = np.empty(cols, dtype=bool)
+    for base in range(0, hi_i - 1, _CHUNK_ROWS - 2):
+        rows = slice(base, base + _CHUNK_ROWS)
+        a, b = _step_coeffs(c0[rows, None], c1[rows, None], g1, g2, h2)
+        for k in range(2, min(_CHUNK_ROWS, hi_i + 1 - base)):
+            i = base + k
+            np.multiply(u_curr, 2.0, out=u_new)
+            np.multiply(u_new, a[k - 1], out=u_new)
+            np.multiply(u_prev, b[k - 2], out=prod)
+            np.subtract(u_new, prod, out=u_new)
+            np.divide(u_new, b[k], out=u_new)
+            if i <= m_idx:
+                np.multiply(u_new, u_curr, out=prod)
+                nodes += np.less(prod, 0.0, out=crossed)
+            if i >= lo_i:
+                window[i - lo_i] = u_new
+            else:
+                np.abs(u_new, out=mag)
+                # NaN fails both comparisons and takes the exact path
+                if not (mag.max() <= _OVERFLOW_LIMIT and mag.min() >= _UNDERFLOW_LIMIT):
+                    needs = (mag > _OVERFLOW_LIMIT) | ((mag < _UNDERFLOW_LIMIT) & (mag > 0.0))
+                    factor = np.where(needs, 1.0 / np.maximum(mag, 1.0e-290), 1.0)
+                    u_curr *= factor
+                    u_new *= factor
+            u_prev, u_curr, u_new = u_curr, u_new, u_prev
     return (window if outward else window[::-1]), nodes
 
 

@@ -7,10 +7,16 @@ from iqy_dirac.dirac_iqy import PSPIN, SPIN, PhysicalParams, scan_window
 from iqy_dirac.errors import NodeMismatch, NoRootInWindow, SeedUndefined
 from iqy_dirac.limits import coulomb_energy
 from iqy_dirac.oracle import (
+    _OVERFLOW_LIMIT,
+    _UNDERFLOW_LIMIT,
     ProblemFamily,
+    _inward_seed_scalar,
+    _march,
     _match_index,
     _match_scalar,
     _match_vec,
+    _outward_seed_scalar,
+    _sweep_vec,
     coulomb_family,
     count_nodes,
     integrate_inward,
@@ -161,13 +167,11 @@ class TestCoulombAnchor:
 
     def test_match_point_independence(self):
         family = coulomb_family(1.0, -1.0, 1)
-        # default match point sits at the potential minimum; move it +-20%
-        from iqy_dirac.oracle import _match_index
-
-        base_idx = _match_index(family, self.WINDOW)
-        e_base = shoot_eigenvalue(family, self.WINDOW, 0, tol=1e-11, match_index=base_idx)
-        for shift in (-0.2, 0.2):
-            idx = int(base_idx * (1.0 + shift))
+        # the automatic match point is the inner edge (index 4), where
+        # W = gamma/r + beta^2 is deepest; matching well inside the
+        # allowed region (r ~ 0.5, 2, 10) must give the same root
+        e_base = shoot_eigenvalue(family, self.WINDOW, 0, tol=1e-11)
+        for idx in (100, 400, 2000):
             e_moved = shoot_eigenvalue(family, self.WINDOW, 0, tol=1e-11, match_index=idx)
             assert abs(e_moved - e_base) < 1e-8
 
@@ -247,6 +251,183 @@ class TestKernels:
                 f_scalar, nodes_scalar = _match_scalar(family, float(e), m_idx)
                 assert abs(f_scalar - f_b) <= 1e-12 * abs(f_b)
                 assert nodes_scalar == nodes_b
+
+
+def _reference_march(family, e, outward, stop, keep):
+    """The plain-float march as first written: W rebuilt at every step."""
+    g1 = float(family.gamma(e))
+    g2 = float(family.beta_sq(e))
+    c0, c1 = family._c0.tolist(), family._c1.tolist()
+    if outward:
+        u_prev, u_curr = _outward_seed_scalar(family, e)
+    else:
+        u_prev, u_curr = _inward_seed_scalar(family, g2)
+        c0, c1 = c0[::-1], c1[::-1]
+    h2 = family.step * family.step / 12.0
+    first = stop + 1 - keep
+    kept = [u_prev, u_curr][first:]
+    nodes = 0
+    f_prev = c0[0] + c1[0] * g1 + g2
+    f_curr = c0[1] + c1[1] * g1 + g2
+    for i in range(2, stop + 1):
+        f_new = c0[i] + c1[i] * g1 + g2
+        u_new = (
+            2.0 * u_curr * (1.0 + 5.0 * h2 * f_curr) - u_prev * (1.0 - h2 * f_prev)
+        ) / (1.0 - h2 * f_new)
+        if i <= stop - 2 and u_new * u_curr < 0.0:
+            nodes += 1
+        if i >= first:
+            kept.append(u_new)
+        mag = abs(u_new)
+        if mag > _OVERFLOW_LIMIT or 0.0 < mag < _UNDERFLOW_LIMIT:
+            u_curr /= mag
+            u_new /= mag
+            kept = [u / mag for u in kept]
+        u_prev, u_curr = u_curr, u_new
+        f_prev, f_curr = f_curr, f_new
+    return kept, nodes
+
+
+def _reference_sweep(family, e_vec, m_idx, outward):
+    """The batched march as first written: W rebuilt and the rescale mask
+    taken at every step."""
+    r, h = family.r, family.step
+    g1 = np.atleast_1d(np.asarray(family.gamma(e_vec), dtype=float))
+    g2 = np.atleast_1d(np.asarray(family.beta_sq(e_vec), dtype=float))
+    cols = len(e_vec)
+    c0, c1 = family._c0, family._c1
+    h2 = h * h / 12.0
+    window = np.full((5, cols), np.nan)
+    nodes = np.zeros(cols, dtype=np.int64)
+    if not outward:
+        u_prev = np.exp(-np.sqrt(g2) * h)
+        c0, c1 = c0[::-1], c1[::-1]
+        m_idx = len(c0) - 1 - m_idx
+    elif family.hard_wall:
+        u_prev = np.zeros(cols)
+    else:
+        index = np.atleast_1d(np.asarray(family.nu(e_vec), dtype=float))
+        v1 = np.atleast_1d(np.asarray(family.lin_coeff(e_vec), dtype=float))
+        a1 = v1 / (2.0 * index)
+        a2 = (
+            v1 * a1 + np.atleast_1d(np.asarray(family.const_coeff(e_vec), dtype=float))
+        ) / (4.0 * index + 2.0)
+        u_prev = (
+            (r[0] / r[1]) ** index
+            * (1.0 + a1 * r[0] + a2 * r[0] * r[0])
+            / (1.0 + a1 * r[1] + a2 * r[1] * r[1])
+        )
+    u_curr = np.ones(cols)
+    f_prev = c0[0] + c1[0] * g1 + g2
+    f_curr = c0[1] + c1[1] * g1 + g2
+    for i in range(2, m_idx + 3):
+        f_new = c0[i] + c1[i] * g1 + g2
+        u_new = (
+            2.0 * u_curr * (1.0 + 5.0 * h2 * f_curr) - u_prev * (1.0 - h2 * f_prev)
+        ) / (1.0 - h2 * f_new)
+        if i <= m_idx:
+            nodes += u_new * u_curr < 0.0
+        if m_idx - 2 <= i:
+            window[i - m_idx + 2] = u_new
+        else:
+            mag = np.abs(u_new)
+            needs = (mag > _OVERFLOW_LIMIT) | ((mag < _UNDERFLOW_LIMIT) & (mag > 0.0))
+            if np.any(needs):
+                factor = np.where(needs, 1.0 / np.maximum(mag, 1.0e-290), 1.0)
+                u_curr *= factor
+                u_new *= factor
+        u_prev, u_curr = u_curr, u_new
+        f_prev, f_curr = f_curr, f_new
+    return (window if outward else window[::-1]), nodes
+
+
+def _sqrt_energy_family(hard_wall=False, nan_above=None):
+    """W = beta^2 = e, constant in r, so over the whole grid the growing
+    solutions of the energies near 100 pass the rescale limit (e^300) and
+    those near 1 do not (e^30);
+    ``nan_above`` turns W into NaN for the larger energies."""
+
+    def gamma(e):
+        e = np.asarray(e, dtype=float)
+        return 0.0 * e if nan_above is None else np.where(e > nan_above, np.nan, 0.0)
+
+    return ProblemFamily(
+        c0_fn=lambda r: 0.0 * r,
+        c1_fn=lambda r: 1.0 + 0.0 * r,
+        gamma=gamma,
+        beta_sq=lambda e: np.asarray(e, dtype=float),
+        nu=lambda e: 1.0 + 0.0 * np.asarray(e),
+        r_min=1e-2,
+        r_max=30.0,
+        step=1e-2,
+        hard_wall=hard_wall,
+        label="sqrt-energy",
+    )
+
+
+class TestReferenceLoop:
+    """Both marches read step coefficients built ahead of the loop; they
+    must give the bits of the loops that rebuilt W at every step."""
+
+    @staticmethod
+    def _case(name):
+        p = caption_params(screening=0.1)
+        if name == "coulomb_k1":
+            return coulomb_family(1.0, -1.0, 1), np.linspace(-0.999, -0.02, 9)[1:-1]
+        if name == "coulomb_k2":
+            return coulomb_family(1.0, -1.0, 2), np.linspace(-0.999, -0.02, 9)[1:-1]
+        if name == "spin":
+            lo, hi = scan_window(p, 0, -2, SPIN)
+            return spin_family(p, -2), np.linspace(lo, hi, 9)[1:-1]
+        if name == "hard_wall":
+            family = spin_family(p, -2, r_min=0.05, r_max=15.0, step=1e-3, hard_wall=True)
+            return family, np.linspace(3.5, 4.9, 9)[1:-1]
+        if name == "rescaling":
+            family = constant_family(beta_sq=100.0, index=1.0, r_min=1e-4, r_max=30.0, step=1e-3)
+            return family, np.array([0.0, 1.0])
+        if name == "mixed_rescale":
+            return _sqrt_energy_family(), np.linspace(1.0, 100.0, 6)
+        return _sqrt_energy_family(hard_wall=True, nan_above=50.0), np.linspace(1.0, 100.0, 6)
+
+    @staticmethod
+    def _same(got, want):
+        assert repr(np.asarray(got).tolist()) == repr(np.asarray(want).tolist())
+
+    @pytest.mark.parametrize(
+        "name",
+        ["coulomb_k1", "coulomb_k2", "spin", "hard_wall", "rescaling", "mixed_rescale", "nan"],
+    )
+    def test_marches_bit_identical(self, name):
+        family, energies = self._case(name)
+        last = len(family.r) - 1
+        auto = _match_index(family, (energies[0], energies[-1]))
+        for m_idx in {min(max(auto or 4, 4), last - 5), last // 2}:
+            for outward in (True, False):
+                window, nodes = _sweep_vec(family, energies, m_idx, outward)
+                ref_window, ref_nodes = _reference_sweep(family, energies, m_idx, outward)
+                self._same(window, ref_window)
+                self._same(nodes, ref_nodes)
+            for e in energies[:: max(1, len(energies) // 3)]:
+                for outward, stop in ((True, m_idx + 2), (False, last - m_idx + 2)):
+                    got = _march(family, float(e), outward, stop, 5)
+                    assert repr(got) == repr(_reference_march(family, float(e), outward, stop, 5))
+        for e in (energies[0], energies[-1]):
+            for outward in (True, False):
+                got = _march(family, float(e), outward, last, last + 1)
+                assert repr(got) == repr(_reference_march(family, float(e), outward, last, last + 1))
+
+    @pytest.mark.parametrize("stop", [62, 63, 64, 65, 125, 126, 127, 128])
+    def test_stops_at_chunk_edges(self, stop):
+        # the batched march builds coefficients for 64 grid rows at a time
+        family, energies = self._case("mixed_rescale")
+        last = len(family.r) - 1
+        for outward, m_idx in ((True, stop - 2), (False, last - stop + 2)):
+            window, nodes = _sweep_vec(family, energies, m_idx, outward)
+            ref_window, ref_nodes = _reference_sweep(family, energies, m_idx, outward)
+            self._same(window, ref_window)
+            self._same(nodes, ref_nodes)
+            got = _march(family, float(energies[-1]), outward, stop, 5)
+            assert repr(got) == repr(_reference_march(family, float(energies[-1]), outward, stop, 5))
 
 
 class TestRadialProblem:
