@@ -36,11 +36,7 @@ from .errors import ConfigError, EmptyWindow, IoError, NoRoot
 from .limits import coulomb_energy
 
 CSV_HEADER = "symmetry,n_nu,n_spect,kappa,label,H,E,residual,beta_sq,strict_valid"
-
-_CONFIG_KEYS = {
-    "symmetry", "mass", "v0", "screening", "tensor_h", "cs", "cps",
-    "n_min", "n_max", "kappa", "window", "tol", "out", "format",
-}
+_COLUMNS = CSV_HEADER.split(",")
 
 
 @dataclass
@@ -86,9 +82,14 @@ class RunConfig:
             raise ConfigError(f"bad n range [{self.n_min}, {self.n_max}]")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if self.window is not None and not all(map(math.isfinite, self.window)):
-            raise ConfigError(f"window must be finite, got {self.window}")
-        for h in self.tensor_h or [0.0]:
+        if self.window is not None:
+            if not all(map(math.isfinite, self.window)):
+                raise ConfigError(f"window must be finite, got {self.window}")
+            if self.window[0] >= self.window[1]:
+                raise ConfigError(f"window needs lo < hi, got {self.window}")
+        if not self.tensor_h:
+            raise ConfigError("tensor_h list is empty")
+        for h in self.tensor_h:
             self.physical(h)
 
 
@@ -104,6 +105,20 @@ def _round9(x: Optional[float]) -> Optional[float]:
     return float(f"{x:.9g}")
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (str, int)):
+        return str(value)
+    return fmt_float(value)
+
+
+def _json_cell(value):
+    if isinstance(value, (str, int)):  # bool is an int
+        return value
+    return _round9(value)
+
+
 def _parse_floats(text: str) -> List[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
@@ -112,16 +127,39 @@ def _parse_floats(text: str) -> List[float]:
 
 
 def _parse_ints(text: str) -> List[int]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(int(part))
-        except ValueError as exc:
-            raise ConfigError(f"bad integer list {text!r}") from exc
-    return out
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"bad integer list {text!r}") from exc
+
+
+def _parse_window(text: str) -> Tuple[float, float]:
+    parts = _parse_floats(text)
+    if len(parts) != 2:
+        raise ConfigError(f"window needs two numbers, got {text!r}")
+    return parts[0], parts[1]
+
+
+# Every common option once: config-file key -> (RunConfig field, parser of its
+# text, extra argparse keywords). The key is also the flag's dest; the flag is
+# "--" plus the key with "_" turned into "-". A flag's text wins over the
+# file's, and both go through the same parser.
+_OPTIONS = {
+    "symmetry": ("symmetry", str, {"metavar": "{spin,pspin}"}),
+    "mass": ("mass", float, {}),
+    "v0": ("v0", float, {}),
+    "screening": ("screening", float, {}),
+    "tensor_h": ("tensor_h", _parse_floats, {"action": "append"}),
+    "cs": ("c_spin", float, {}),
+    "cps": ("c_pspin", float, {}),
+    "n_min": ("n_min", int, {}),
+    "n_max": ("n_max", int, {}),
+    "kappa": ("kappas", _parse_ints, {"help": "comma-separated kappa list"}),
+    "window": ("window", _parse_window, {"help": "lo,hi energy window override"}),
+    "tol": ("tol", float, {}),
+    "out": ("out", str, {"help": "output path (stdout when omitted)"}),
+    "format": ("fmt", str, {"metavar": "{csv,json}"}),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -130,6 +168,8 @@ def load_config_file(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -138,7 +178,7 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -147,51 +187,17 @@ def load_config_file(path: str) -> dict:
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     file_values = load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, file_key: str):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(file_key)
-
-    symmetry = pick(args.symmetry, "symmetry")
-    if symmetry is not None:
-        cfg.symmetry = symmetry
-    for attr, flag, key, cast in (
-        ("mass", args.mass, "mass", float),
-        ("v0", args.v0, "v0", float),
-        ("screening", args.screening, "screening", float),
-        ("c_spin", args.cs, "cs", float),
-        ("c_pspin", args.cps, "cps", float),
-        ("n_min", args.n_min, "n_min", int),
-        ("n_max", args.n_max, "n_max", int),
-        ("tol", args.tol, "tol", float),
-    ):
-        value = pick(flag, key)
-        if value is not None:
+    for key, (attr, parse, _) in _OPTIONS.items():
+        text = getattr(args, key)
+        if isinstance(text, list):  # a repeated flag is one comma list
+            text = ",".join(text)
+        if text is None:
+            text = file_values.get(key)
+        if text is not None:
             try:
-                setattr(cfg, attr, cast(value))
+                setattr(cfg, attr, parse(text))
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    tensor = args.tensor_h if args.tensor_h else (
-        _parse_floats(file_values["tensor_h"]) if "tensor_h" in file_values else None
-    )
-    if tensor is not None:
-        cfg.tensor_h = [float(h) for h in tensor]
-    kappa_text = pick(args.kappa, "kappa")
-    if kappa_text is not None:
-        cfg.kappas = _parse_ints(kappa_text)
-    window_text = pick(args.window, "window")
-    if window_text is not None:
-        parts = _parse_floats(window_text)
-        if len(parts) != 2:
-            raise ConfigError(f"window needs two numbers, got {window_text!r}")
-        cfg.window = (parts[0], parts[1])
-    out = pick(args.out, "out")
-    if out is not None:
-        cfg.out = out
-    fmt = pick(args.fmt, "format")
-    if fmt is not None:
-        cfg.fmt = fmt
+                raise ConfigError(f"bad value for {key}: {text!r}") from exc
     # wavefunction's single-state flags narrow the configured ranges
     if getattr(args, "n", None) is not None:
         cfg.n_min = cfg.n_max = args.n
@@ -238,43 +244,12 @@ def _spectrum_row(cfg: RunConfig, n: int, kappa: int, h: float) -> dict:
 
 
 def _rows_to_csv(rows: Sequence[dict]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    row["symmetry"],
-                    str(row["n_nu"]),
-                    str(row["n_spect"]),
-                    str(row["kappa"]),
-                    row["label"],
-                    fmt_float(row["H"]),
-                    fmt_float(row["E"]),
-                    fmt_float(row["residual"]),
-                    fmt_float(row["beta_sq"]),
-                    "true" if row["strict_valid"] else "false",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    lines = [",".join(_csv_cell(row[c]) for c in _COLUMNS) for row in rows]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def _rows_to_json(rows: Sequence[dict]) -> str:
-    payload = [
-        {
-            "symmetry": row["symmetry"],
-            "n_nu": row["n_nu"],
-            "n_spect": row["n_spect"],
-            "kappa": row["kappa"],
-            "label": row["label"],
-            "H": _round9(row["H"]),
-            "E": _round9(row["E"]),
-            "residual": _round9(row["residual"]),
-            "beta_sq": _round9(row["beta_sq"]),
-            "strict_valid": row["strict_valid"],
-        }
-        for row in rows
-    ]
+    payload = [{c: _json_cell(row[c]) for c in _COLUMNS} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -296,48 +271,40 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_wavefunction(cfg: RunConfig) -> int:
-    n, kappa = cfg.n_min, cfg.kappas[0]
-    params = cfg.physical(cfg.tensor_h[0])
+    n, kappa, h = cfg.n_min, cfg.kappas[0], cfg.tensor_h[0]
+    params = cfg.physical(h)
     sols = solve_energies(params, n, kappa, cfg.symmetry, window=cfg.window, tol=cfg.tol, mode="relaxed")
     sol = select_branch_root(sols, cfg.symmetry)
     if sol is None:
         raise NoRoot(f"no converged energy for n={n}, kappa={kappa}, {cfg.symmetry}")
     wf = dirac_iqy.assemble_wavefunction(params, sol, n, kappa, cfg.symmetry)
-    nodes = oracle.count_nodes(wf.dominant)
-    backsub = first_order_residual(params, wf)
     meta = {
         "symmetry": cfg.symmetry,
         "n": n,
         "kappa": kappa,
-        "H": _round9(cfg.tensor_h[0]),
-        "E": _round9(sol.e),
+        "H": h,
+        "E": sol.e,
         "strict_valid": sol.strict_valid,
-        "nodes": nodes,
-        "back_substitution_residual": _round9(backsub),
+        "nodes": oracle.count_nodes(wf.dominant),
+        "back_substitution_residual": first_order_residual(params, wf),
     }
+    # thousands of sample floats: formatted directly, without the per-cell dispatch
+    samples = zip(wf.r_grid.tolist(), wf.s_map.tolist(), wf.upper.tolist(), wf.lower.tolist())
     if cfg.fmt == "json":
         payload = {
-            "meta": meta,
+            "meta": {key: _json_cell(value) for key, value in meta.items()},
             "samples": [
-                {
-                    "r": _round9(float(r)),
-                    "s": _round9(float(s)),
-                    "F": _round9(float(f)),
-                    "G": _round9(float(g)),
-                }
-                for r, s, f, g in zip(wf.r_grid, wf.s_map, wf.upper, wf.lower)
+                {"r": _round9(r), "s": _round9(s), "F": _round9(f), "G": _round9(g)}
+                for r, s, f, g in samples
             ],
         }
         _write_text(cfg.out, json.dumps(payload, indent=2) + "\n")
         return 0
-    lines = [
-        f"# symmetry={cfg.symmetry} n={n} kappa={kappa} H={fmt_float(cfg.tensor_h[0])}",
-        f"# E={fmt_float(sol.e)} strict_valid={'true' if sol.strict_valid else 'false'}",
-        f"# nodes={nodes} back_substitution_residual={fmt_float(backsub)}",
-        "r,s,F,G",
-    ]
-    for r, s, f, g in zip(wf.r_grid, wf.s_map, wf.upper, wf.lower):
-        lines.append(f"{fmt_float(float(r))},{fmt_float(float(s))},{fmt_float(float(f))},{fmt_float(float(g))}")
+    # the meta fields as three '#' lines: the state, its energy, its checks
+    cells = [f"{key}={_csv_cell(value)}" for key, value in meta.items()]
+    lines = ["# " + " ".join(cells[a:b]) for a, b in ((0, 4), (4, 6), (6, 8))]
+    lines.append("r,s,F,G")
+    lines.extend(f"{fmt_float(r)},{fmt_float(s)},{fmt_float(f)},{fmt_float(g)}" for r, s, f, g in samples)
     _write_text(cfg.out, "\n".join(lines) + "\n")
     return 0
 
@@ -515,27 +482,19 @@ def cmd_reproduce_tables(cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value configuration file")
-    common.add_argument("--symmetry", choices=(SPIN, PSPIN))
-    common.add_argument("--mass", type=float)
-    common.add_argument("--v0", type=float)
-    common.add_argument("--screening", type=float)
-    common.add_argument("--tensor-h", dest="tensor_h", type=float, action="append")
-    common.add_argument("--cs", type=float)
-    common.add_argument("--cps", type=float)
-    common.add_argument("--n-min", dest="n_min", type=int)
-    common.add_argument("--n-max", dest="n_max", type=int)
-    common.add_argument("--kappa", help="comma-separated kappa list")
-    common.add_argument("--window", help="lo,hi energy window override")
-    common.add_argument("--tol", type=float)
-    common.add_argument("--out", help="output path (stdout when omitted)")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    for key, (_, _, flag_keywords) in _OPTIONS.items():
+        common.add_argument("--" + key.replace("_", "-"), dest=key, **flag_keywords)
 
     parser = argparse.ArgumentParser(prog="iqy-dirac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common], help="energy sweep over (n, kappa, H)")
-    sub.add_parser("reproduce-tables", parents=[common], help="benchmark reproduction report")
-    sub.add_parser("crosscheck", parents=[common], help="closed form vs shooting oracle")
-    wf = sub.add_parser("wavefunction", parents=[common], help="radial component dump")
+    for name, run, text in (
+        ("spectrum", cmd_spectrum, "energy sweep over (n, kappa, H)"),
+        ("reproduce-tables", cmd_reproduce_tables, "benchmark reproduction report"),
+        ("crosscheck", cmd_crosscheck, "closed form vs shooting oracle"),
+        ("wavefunction", cmd_wavefunction, "radial component dump"),
+    ):
+        sub.add_parser(name, parents=[common], help=text).set_defaults(run=run)
+    wf = sub.choices["wavefunction"]
     wf.add_argument("--n", type=int, help="radial quantum number (defaults to n-min)")
     wf.add_argument("--single-kappa", type=int, help="kappa (defaults to first of --kappa)")
     return parser
@@ -559,21 +518,9 @@ def _join_list_flags(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_list_flags(list(argv)))
+    args = build_parser().parse_args(_join_list_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
-        cfg = build_config(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "reproduce-tables":
-            return cmd_reproduce_tables(cfg)
-        if args.command == "crosscheck":
-            return cmd_crosscheck(cfg)
-        if args.command == "wavefunction":
-            return cmd_wavefunction(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(build_config(args))
     except (ConfigError, EmptyWindow, NoRoot) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,99 @@ class TestConfig:
         assert fmt_float(float("nan")) == "nan"
         assert fmt_float(-0.491129) == "-0.491129"
         assert fmt_float(123456789.123) == "123456789"
+
+
+# Every common option: config key -> (a value, a different value).
+OPTION_VALUES = {
+    "symmetry": ("spin", "pspin"),
+    "mass": ("4.5", "6"),
+    "v0": ("0.8", "1.5"),
+    "screening": ("0.1", "0.02"),
+    "tensor_h": ("0,5", "2"),
+    "cs": ("5.0", "7"),
+    "cps": ("-4.0", "-3"),
+    "n_min": ("1", "0"),
+    "n_max": ("3", "4"),
+    "kappa": ("-2,1", "3"),
+    "window": ("1.0,1.2", "-2,-1"),
+    "tol": ("1e-10", "1e-11"),
+    "out": ("a.csv", "b.csv"),
+    "format": ("json", "csv"),
+}
+NUMERIC_KEYS = ["mass", "v0", "screening", "cs", "cps", "n_min", "n_max", "tol"]
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def config_from(argv):
+    return build_config(build_parser().parse_args(cli._join_list_flags(argv)))
+
+
+def write_config(tmp_path, values):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    return str(path)
+
+
+class TestOptionTable:
+    def test_values_cover_every_option(self):
+        assert set(OPTION_VALUES) == set(cli._OPTIONS)
+
+    def test_file_equals_flags(self, tmp_path):
+        values = {key: first for key, (first, _) in OPTION_VALUES.items()}
+        from_file = config_from(["spectrum", "--config", write_config(tmp_path, values)])
+        argv = ["spectrum", "--tensor-h", "0", "--tensor-h", "5"]
+        for key, value in values.items():
+            if key != "tensor_h":
+                argv += [flag(key), value]
+        from_flags = config_from(argv)
+        assert from_file == from_flags
+        assert from_file == RunConfig(
+            symmetry="spin", mass=4.5, v0=0.8, screening=0.1, tensor_h=[0.0, 5.0],
+            c_spin=5.0, c_pspin=-4.0, n_min=1, n_max=3, kappas=[-2, 1],
+            window=(1.0, 1.2), tol=1e-10, out="a.csv", fmt="json",
+        )
+
+    @pytest.mark.parametrize("key", list(OPTION_VALUES))
+    def test_flag_overrides_key(self, key, tmp_path):
+        path = write_config(tmp_path, {k: first for k, (first, _) in OPTION_VALUES.items()})
+        from_file = config_from(["spectrum", "--config", path])
+        value = OPTION_VALUES[key][1]
+        overridden = config_from(["spectrum", "--config", path, flag(key), value])
+        field = cli._OPTIONS[key][0]
+        assert getattr(overridden, field) == getattr(config_from(["spectrum", flag(key), value]), field)
+        assert getattr(overridden, field) != getattr(from_file, field)
+        assert replace(overridden, **{field: getattr(from_file, field)}) == from_file
+
+    def test_tensor_h_comma_list_equals_repeated_flag(self):
+        repeated = config_from(["spectrum", "--tensor-h", "0", "--tensor-h", "0.5"])
+        assert config_from(["spectrum", "--tensor-h", "0,0.5"]) == repeated
+        assert repeated.tensor_h == [0.0, 0.5]
+
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_bad_value_from_file_exits_2(self, key, tmp_path, capsys):
+        code = run_main(["spectrum", "--config", write_config(tmp_path, {key: "abc"})])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad value for {key}: 'abc'\n"
+
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_bad_value_from_flag_exits_2(self, key, capsys):
+        assert run_main(["spectrum", flag(key), "abc"]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {key}: 'abc'\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "reproduce-tables", "crosscheck", "wavefunction"])
+    def test_help_lists_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        flags = ["--config", *map(flag, OPTION_VALUES)]
+        if command == "wavefunction":
+            flags += ["--n", "--single-kappa"]
+        for name in flags:
+            assert f" {name} " in text
 
 
 class TestSpectrum:
@@ -326,6 +420,33 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "crosscheck", "wavefunction"])
+    @pytest.mark.parametrize(
+        "bad", [["--window", "-1,-2"], ["--window", "-3,-3"], "tensor_h =\n"],
+        ids=["window_reversed", "window_empty", "tensor_h_empty"],
+    )
+    def test_invalid_window_or_tensor_list_exits_2(self, command, bad, tmp_path, capsys):
+        if isinstance(bad, str):
+            cfg_file = tmp_path / "r.cfg"
+            cfg_file.write_text(bad)
+            bad = ["--config", str(cfg_file)]
+        out = tmp_path / "out.txt"
+        code = run_main([command, "--n-max", "0", *bad, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "r.cfg"
+        cfg_file.write_bytes(b"mass = 5\xff\n")
+        code = run_main(["spectrum", "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "UTF-8" in err
 
     def test_bad_symmetry_in_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "r.cfg"

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqy_dirac.dirac_iqy import (
@@ -41,12 +41,16 @@ def caption_params(**overrides):
 
 def loop_roots(p, n, kappa, symmetry, tol=1e-12):
     """Reference root finder: the same scan, then each sign-change cell
-    bisected on its own with the scalar residual."""
-    lo, hi = scan_window(p, n, kappa, symmetry)
+    bisected on its own with the scalar residual. Exact zeros on grid points
+    are roots too, as in ``solve_energies``."""
+    bounds = scan_window(p, n, kappa, symmetry)
+    if bounds is None:
+        return []
+    lo, hi = bounds
     step = (hi - lo) / 2000.0
     grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
     res, _, _ = _rearranged_vec(p, n, kappa, symmetry, grid)
-    roots = []
+    roots = [float(e) for e in grid[res == 0.0]]
     for i in range(len(grid) - 1):
         if not res[i] * res[i + 1] < 0.0:
             continue
@@ -61,7 +65,7 @@ def loop_roots(p, n, kappa, symmetry, tol=1e-12):
             else:
                 a, fa = mid, fmid
         roots.append(0.5 * (a + b))
-    return [e for e in roots if not (symmetry == PSPIN and e >= 0.0)]
+    return [e for e in sorted(roots) if not (symmetry == PSPIN and e >= 0.0)]
 
 
 PARAMS = dict(
@@ -299,6 +303,12 @@ class TestSolveEnergies:
 
     @given(**PARAMS)
     @settings(max_examples=100, deadline=None)
+    # an empty scan window (scan_window returns None)
+    @example(n=0, kappa=-1, symmetry=SPIN, mass=1.0, v0=1.0, screening=1.0,
+             tensor_h=0.5, cs_ratio=0.0, cps_ratio=0.0)
+    # the residual -(E - 1/2)^2 touches zero exactly on a grid point
+    @example(n=0, kappa=-1, symmetry=SPIN, mass=1.0, v0=0.0, screening=1.0,
+             tensor_h=0.5, cs_ratio=1.0, cps_ratio=0.0)
     def test_batched_bisection_matches_cell_loop(self, n, kappa, symmetry, **physical):
         # the array residual squares by x * x, the scalar one by pow(), so a
         # midpoint's sign may differ; the roots still agree within tol
