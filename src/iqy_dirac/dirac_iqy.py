@@ -20,10 +20,10 @@ strict thresholds s*M and C - s*M and the companion coupling all follow.
 
 ``solve_energies`` evaluates the squared form on a 2000-cell grid over the
 scan window, brackets every sign change at once and bisects all brackets
-together. Every root found is the "relaxed" set; keeping roots with a valid
-sign and beta^2 > 0 is the "strict" mode, which is empty for every parameter
-set: the printed condition has no principal-branch solutions (proof in
-``solve_energies``).
+together. Every root found is the "relaxed" set. The "strict" set, roots of
+the printed condition with principal square roots, is empty for every
+parameter set (proof in ``solve_energies``), so strict mode returns it
+without scanning.
 """
 
 from __future__ import annotations
@@ -93,11 +93,7 @@ def symmetry_record(symmetry: str) -> Symmetry:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Physics inputs; energies and masses in fm^-1, hbar = c = 1.
-
-    ``coulomb_radius`` and the two charge numbers are metadata only: the
-    closed form integrates the tensor term over all r.
-    """
+    """Physics inputs; energies and masses in fm^-1, hbar = c = 1."""
 
     mass: float
     v0: float
@@ -105,13 +101,10 @@ class PhysicalParams:
     tensor_h: float = 0.0
     c_spin: float = 0.0
     c_pspin: float = 0.0
-    coulomb_radius: Optional[float] = None
-    z_projectile: Optional[float] = None
-    z_target: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.mass > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
@@ -337,21 +330,22 @@ def solve_energies(
 ) -> List[EnergySolution]:
     """All roots of the squared residual in the scan window.
 
-    A 2000-cell scan brackets every sign change, then all brackets are
-    bisected together until each is narrower than ``tol``. ``mode='relaxed'``
-    returns every root, each flagged; ``mode='strict'`` keeps sign-valid
-    roots with beta^2 > 0 and is empty for every parameter set: with
-    q = sqrt(radicand) >= 0 the sign quantity is
-    t = gamma*V0 + P^2 = (lambda - 1/2)^2 + (n + 1/2)^2 + 2(n + 1/2)q > 0,
-    so no root has a valid sign. Pseudospin results are restricted to the
-    negative-energy branch. Returns an empty list when there is no root.
+    ``mode='relaxed'`` returns every root: a 2000-cell scan brackets every
+    sign change and all brackets are bisected together until each is
+    narrower than ``tol``; pseudospin keeps the negative-energy branch.
+    ``mode='strict'`` checks its inputs and the window, then returns [], as
+    no root has principal square roots: with q = sqrt(radicand) >= 0 one
+    needs t = gamma*V0 + P^2 <= 0 (the sign flag of ``_rearranged_vec``),
+    but t = (lambda - 1/2)^2 + (n + 1/2)^2 + 2(n + 1/2)q > 0. The naive sum
+    gamma*V0 + P^2 can round to t <= 0 once |gamma*V0| nears 1e30, so the
+    proof, not a scan, decides the strict set.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     bounds = scan_window(params, n, kappa, symmetry, window)
-    if bounds is None:
+    if bounds is None or mode == "strict":
         return []
     sym = symmetry_record(symmetry)
     lo, hi = bounds
@@ -393,10 +387,9 @@ def solve_energies(
             beta_sq=bsq,
             lambda_or_eta=lam,
             sign_ok=bool(sign_ok),
-            strict_valid=bool(sign_ok and bsq > 0.0),
+            strict_valid=False,  # by the proof above
         )
-        if mode == "relaxed" or sol.strict_valid:
-            solutions.append(sol)
+        solutions.append(sol)
     return solutions
 
 
@@ -565,14 +558,11 @@ def assemble_wavefunction(
     n: int,
     kappa: int,
     symmetry: str,
-    r_grid: Optional[np.ndarray] = None,
-    points: int = 2001,
 ) -> RadialWavefunction:
-    """Both radial components on a grid, dominant component L2-normalized."""
+    """Both radial components on the default grid, dominant one L2-normalized."""
     sym = symmetry_record(symmetry)
     e = _energy_of(sol)
-    if r_grid is None:
-        r_grid = default_r_grid(params, e, n, kappa, symmetry, points)
+    r_grid = default_r_grid(params, e, n, kappa, symmetry)
     dominant = dominant_component(params, e, n, kappa, r_grid, symmetry)
     companion = companion_component(params, e, dominant, r_grid, n, kappa, symmetry)
     norm = math.sqrt(float(_trapezoid(dominant**2, r_grid)))
@@ -588,13 +578,11 @@ def assemble_wavefunction(
     )
 
 
-def _derivatives(
-    params: PhysicalParams, wf: RadialWavefunction, step: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Small-step central difference and analytic derivative of the dominant
-    component's closed form, both scaled to the dumped normalization."""
+def _derivatives(params: PhysicalParams, wf: RadialWavefunction) -> Tuple[np.ndarray, np.ndarray]:
+    """Central difference (step 1e-6, at most r[0] / 2) and analytic derivative
+    of the dominant component's closed form, scaled to the dumped norm."""
     r = wf.r_grid
-    h = min(step, 0.5 * float(r[0]))
+    h = min(1.0e-6, 0.5 * float(r[0]))
     raw0, draw = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r)
     plus, _ = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r + h)
     minus, _ = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r - h)
@@ -603,10 +591,10 @@ def _derivatives(
     return scale * (plus - minus) / (2.0 * h), scale * draw
 
 
-def fd_derivative_gap(params: PhysicalParams, wf: RadialWavefunction, step: float = 1.0e-6) -> float:
+def fd_derivative_gap(params: PhysicalParams, wf: RadialWavefunction) -> float:
     """Largest gap between the analytic derivative of the dominant component
     and a small-step central difference of its closed form."""
-    d_fd, d_exact = _derivatives(params, wf, step)
+    d_fd, d_exact = _derivatives(params, wf)
     return float(np.max(np.abs(d_fd - d_exact)))
 
 
@@ -618,7 +606,7 @@ def first_order_residual(params: PhysicalParams, wf: RadialWavefunction) -> floa
     closed form, normalized by the largest magnitude of the companion side.
     """
     sym = symmetry_record(wf.symmetry)
-    d_fd, _ = _derivatives(params, wf, 1.0e-6)
+    d_fd, _ = _derivatives(params, wf)
     shifted = wf.kappa + params.tensor_h
     lhs = d_fd + sym.sign * (shifted / wf.r_grid) * wf.dominant
     rhs = sym.sign * _couplings(params, wf.e, sym)[0] * getattr(wf, sym.companion)
@@ -660,9 +648,9 @@ def doublet_splitting_report(
     symmetry: str,
     pairs: Sequence[Tuple[int, int]],
     h_values: Sequence[float],
-    mode: str = "relaxed",
 ) -> List[SplittingRow]:
-    """Doublet energies and splittings over a set of tensor strengths.
+    """Relaxed-root doublet energies and splittings over a set of tensor
+    strengths.
 
     Partners pair at zero tensor strength: kappa' = 1 - kappa (pspin) or
     -1 - kappa (spin). ``moved_opposite`` compares each member's shift from
@@ -675,8 +663,8 @@ def doublet_splitting_report(
         baseline: dict = {}
         for h in h_values:
             p_h = replace(params, tensor_h=float(h))
-            sol_a = select_branch_root(solve_energies(p_h, n, kappa, symmetry, mode=mode), symmetry)
-            sol_b = select_branch_root(solve_energies(p_h, n, partner, symmetry, mode=mode), symmetry)
+            sol_a = select_branch_root(solve_energies(p_h, n, kappa, symmetry, mode="relaxed"), symmetry)
+            sol_b = select_branch_root(solve_energies(p_h, n, partner, symmetry, mode="relaxed"), symmetry)
             e_a = sol_a.e if sol_a else None
             e_b = sol_b.e if sol_b else None
             if h == 0.0:

@@ -58,7 +58,7 @@ class NUDerived:
     """Auxiliary parameters derived from a coefficient set.
 
     ``k`` and ``branch`` are populated by :func:`select_k`; the wavefunction
-    exponents a10..a13 by :func:`wavefunction_parameters`.
+    exponents a10..a13 are returned by :func:`wavefunction_parameters`.
     """
 
     a4: float
@@ -69,10 +69,6 @@ class NUDerived:
     a9: float
     k: Optional[float] = None
     branch: Optional[Branch] = None
-    a10: Optional[float] = None
-    a11: Optional[float] = None
-    a12: Optional[float] = None
-    a13: Optional[float] = None
 
 
 def derive_parameters(c: NUCoefficients) -> NUDerived:

@@ -187,8 +187,6 @@ def coulomb_family(
     mass: float,
     b_coeff: float,
     kappa: int,
-    c_pspin: float = 0.0,
-    r_min: Optional[float] = None,
     r_max: float = 60.0,
     step: float = 5.0e-3,
 ) -> ProblemFamily:
@@ -202,10 +200,10 @@ def coulomb_family(
         return -b_coeff / r
 
     def gamma(e):
-        return e - mass - c_pspin
+        return e - mass
 
     def beta_sq(e):
-        return (mass + e) * (mass - e + c_pspin)
+        return (mass + e) * (mass - e)
 
     index = 0.5 + abs(kappa - 0.5)
 
@@ -223,7 +221,7 @@ def coulomb_family(
         nu=nu,
         lin_coeff=lin_coeff,
         const_coeff=beta_sq,
-        r_min=r_min if r_min is not None else step,
+        r_min=step,
         r_max=r_max,
         step=step,
         label=f"coulomb kappa={kappa} B={b_coeff}",
@@ -492,14 +490,11 @@ def shoot_eigenvalue(
     window: Tuple[float, float],
     node_target: int,
     tol: float = 1.0e-10,
-    scan_points: int = 240,
     match_index: Optional[int] = None,
 ) -> float:
     """Eigenvalue in the window whose eigenfunction has the requested number
     of interior nodes."""
-    found = scan_eigenvalues(
-        family, window, tol=tol, scan_points=scan_points, match_index=match_index
-    )
+    found = scan_eigenvalues(family, window, tol=tol, match_index=match_index)
     if not found:
         raise NoRootInWindow(
             f"no matching-function zero in ({window[0]}, {window[1]}) for {family.label}"

@@ -268,6 +268,23 @@ class TestSpectrum:
         run_main(argv + ["--out", str(threaded)])
         assert serial.read_bytes() == threaded.read_bytes()
 
+    def test_strict_valid_false_where_the_naive_sign_rounds(self, capsys):
+        # the relaxed root here has a numeric sign flag that reads valid
+        # (gamma*V0 + P^2 cancels to 0); strict_valid follows the proof
+        code = run_main(
+            [
+                "spectrum", "--symmetry", "pspin", "--mass", "475331604.6317678",
+                "--v0", "7.512088796728115e+23", "--screening", "1.5584049792948822",
+                "--cs", "414797259.09713894", "--cps", "315190603.42978406",
+                "--n-min", "0", "--n-max", "0", "--kappa", "2",
+            ]
+        )
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith("pspin,0,-1,2,")
+        assert rows[1].endswith(",false")
+
 
 class TestWavefunction:
     def test_dump_contract(self, tmp_path):
@@ -447,6 +464,30 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ")
         assert "UTF-8" in err
+
+    def test_empty_out_in_config_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "r.cfg"
+        cfg_file.write_text("out =\n")
+        code = run_main(["spectrum", "--config", str(cfg_file), "--kappa", "-1", "--n-max", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: out ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["crosscheck", "reproduce-tables"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_json_format_on_text_report_exits_2(self, command, source, tmp_path, capsys):
+        argv = ["--format", "json"]
+        if source == "config":
+            cfg_file = tmp_path / "r.cfg"
+            cfg_file.write_text("format = json\n")
+            argv = ["--config", str(cfg_file)]
+        out = tmp_path / "out.txt"
+        code = run_main([command, *argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {command} writes a text report; --format json is not supported\n"
+        assert not out.exists()
 
     def test_bad_symmetry_in_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "r.cfg"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iqy_dirac import dirac_iqy
 from iqy_dirac.dirac_iqy import (
     PSPIN,
     SPIN,
@@ -286,10 +287,32 @@ class TestResiduals:
 
 
 class TestSolveEnergies:
-    def test_strict_mode_empty_at_caption_parameters(self):
+    def test_strict_mode_empty_at_caption_parameters(self, monkeypatch):
+        # the strict set is empty by proof, so strict mode never evaluates
+        # the residual; it still rejects a window outside the strict domain
+        def refuse(*args):
+            raise AssertionError("strict mode evaluated the residual")
+
+        monkeypatch.setattr(dirac_iqy, "_rearranged_vec", refuse)
         p = caption_params()
         assert solve_energies(p, 1, -1, PSPIN, mode="strict") == []
         assert solve_energies(p, 0, -2, SPIN, mode="strict") == []
+        with pytest.raises(EmptyWindow):
+            solve_energies(p, 0, -2, SPIN, window=(4.0, 5.5), mode="strict")
+        with pytest.raises(EmptyWindow):
+            solve_energies(p, 1, -1, PSPIN, window=(-20.0, -10.0), mode="strict")
+
+    def test_strict_set_empty_where_the_naive_sign_rounds(self):
+        # gamma*V0 + P^2 cancels to 0 at this relaxed root, so the numeric
+        # sign flag reads valid although the residual is beta^2 = 75.45;
+        # the proof still leaves the strict set empty
+        p = PhysicalParams(
+            mass=475331604.6317678, v0=7.512088796728115e23, screening=1.5584049792948822,
+            c_spin=414797259.09713894, c_pspin=315190603.42978406,
+        )
+        assert solve_energies(p, 0, 2, PSPIN, mode="strict") == []
+        relaxed = solve_energies(p, 0, 2, PSPIN, mode="relaxed")
+        assert [(sol.sign_ok, sol.strict_valid) for sol in relaxed] == [(True, False)]
 
     @given(**PARAMS)
     @settings(max_examples=200, deadline=None)
