@@ -18,8 +18,15 @@ run over the reversed grid, seeded with the decaying large-r solution.
 
 A march builds its Numerov step coefficients once, before it steps: the
 plain-float march for every row it visits, the batched march in chunks of
-64 grid rows. The loops then only read them, with the same arithmetic as a
-loop that rebuilds W at every step.
+64 grid rows. The loops then only read them, and give the bits of a loop
+that rebuilds W at every step.
+
+A scan marches a grid of trial energies in one batch and refines each
+sign change of the matching function with the plain-float march. Shooting
+for one state uses the node counts the batched march already has: it
+refines first, in ascending energy, only the sign-change cells whose
+endpoint counts bracket the wanted count, and falls back to the other
+cells when none of those roots has it.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +50,11 @@ from .errors import NodeMismatch, NoRootInWindow, SeedUndefined
 
 _OVERFLOW_LIMIT = 1.0e100
 _UNDERFLOW_LIMIT = 1.0e-100
-# Grid rows of step coefficients the batched march builds at a time; at 240
-# trial energies one chunk is 0.12 MB per coefficient array.
+# Grid rows the batched march builds step coefficients for and keeps samples
+# of at a time; at 240 trial energies one chunk is 0.12 MB per array.
 _CHUNK_ROWS = 64
+# Trial energies of the batched scan over a window.
+_SCAN_POINTS = 240
 
 
 def _zero_coeff(e):
@@ -311,10 +320,16 @@ def _sweep_vec(
     family: ProblemFamily, e_vec: np.ndarray, m_idx: int, outward: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized march over a batch of trial energies; inward runs the same
-    loop over reversed views of the grid. The step coefficients are built
-    for ``_CHUNK_ROWS`` grid rows at a time, each chunk repeating the last
-    two rows of the one before, and every step writes into preallocated
-    buffers."""
+    loop over reversed views of the grid.
+
+    The march fills one buffer whose row k holds the samples of grid row
+    ``base + k``, ``_CHUNK_ROWS`` rows at a time, each chunk repeating the
+    last two rows of the one before. A chunk builds its step coefficients,
+    with the factor 2 folded into ``a`` (doubling is exact), before it steps
+    in place. Nodes are counted from the sign changes between the buffer's
+    rows at the end of each chunk, and before any rescale, which can turn an
+    infinite sample into NaN and its neighbour into zero.
+    """
     r = family.r
     h = family.step
     e_vec = np.atleast_1d(np.asarray(e_vec, dtype=float))
@@ -325,17 +340,17 @@ def _sweep_vec(
     h2 = h * h / 12.0
     window = np.full((5, cols), np.nan)
     nodes = np.zeros(cols, dtype=np.int64)
+    buf = np.empty((_CHUNK_ROWS, cols))
+    buf[1] = 1.0
 
     if not outward:
         if np.any(g2 <= 0.0):
             raise SeedUndefined("beta^2 <= 0: no decaying large-r seed")
-        u_prev = np.exp(-np.sqrt(g2) * h)
-        u_curr = np.ones(cols)
+        buf[0] = np.exp(-np.sqrt(g2) * h)
         c0, c1 = c0[::-1], c1[::-1]
         m_idx = len(c0) - 1 - m_idx
     elif family.hard_wall:
-        u_prev = np.zeros(cols)
-        u_curr = np.ones(cols)
+        buf[0] = 0.0
     else:
         index = np.atleast_1d(np.asarray(family.nu(e_vec), dtype=float))
         if not np.all(np.isfinite(index)):
@@ -347,40 +362,48 @@ def _sweep_vec(
         a2 = (
             v1 * a1 + np.atleast_1d(np.asarray(family.const_coeff(e_vec), dtype=float))
         ) / (4.0 * index + 2.0)
-        u_prev = (
+        buf[0] = (
             (r[0] / r[1]) ** index
             * (1.0 + a1 * r[0] + a2 * r[0] * r[0])
             / (1.0 + a1 * r[1] + a2 * r[1] * r[1])
         )
-        u_curr = np.ones(cols)
     lo_i, hi_i = m_idx - 2, m_idx + 2
-    u_new, prod, mag = np.empty(cols), np.empty(cols), np.empty(cols)
-    crossed = np.empty(cols, dtype=bool)
+    u = list(buf)
+    prod, mag = np.empty(cols), np.empty(cols)
     for base in range(0, hi_i - 1, _CHUNK_ROWS - 2):
-        rows = slice(base, base + _CHUNK_ROWS)
+        if base:
+            buf[:2] = buf[-2:]
+        stop = min(_CHUNK_ROWS, hi_i + 1 - base)
+        rows = slice(base, base + stop)
         a, b = _step_coeffs(c0[rows, None], c1[rows, None], g1, g2, h2)
-        for k in range(2, min(_CHUNK_ROWS, hi_i + 1 - base)):
-            i = base + k
-            np.multiply(u_curr, 2.0, out=u_new)
-            np.multiply(u_new, a[k - 1], out=u_new)
-            np.multiply(u_prev, b[k - 2], out=prod)
-            np.subtract(u_new, prod, out=u_new)
-            np.divide(u_new, b[k], out=u_new)
-            if i <= m_idx:
-                np.multiply(u_new, u_curr, out=prod)
-                nodes += np.less(prod, 0.0, out=crossed)
-            if i >= lo_i:
-                window[i - lo_i] = u_new
-            else:
-                np.abs(u_new, out=mag)
-                # NaN fails both comparisons and takes the exact path
-                if not (mag.max() <= _OVERFLOW_LIMIT and mag.min() >= _UNDERFLOW_LIMIT):
-                    needs = (mag > _OVERFLOW_LIMIT) | ((mag < _UNDERFLOW_LIMIT) & (mag > 0.0))
-                    factor = np.where(needs, 1.0 / np.maximum(mag, 1.0e-290), 1.0)
-                    u_curr *= factor
-                    u_new *= factor
-            u_prev, u_curr, u_new = u_curr, u_new, u_prev
+        a *= 2.0
+        # the sign changes between rows k - 1 and k <= counted are in nodes
+        counted = 1
+        for k in range(2, stop):
+            np.multiply(u[k - 1], a[k - 1], out=u[k])
+            np.multiply(u[k - 2], b[k - 2], out=prod)
+            np.subtract(u[k], prod, out=u[k])
+            np.divide(u[k], b[k], out=u[k])
+            if base + k >= lo_i:
+                window[base + k - lo_i] = u[k]
+                continue
+            np.abs(u[k], out=mag)
+            # NaN fails both comparisons and takes the exact path
+            if not (mag.max() <= _OVERFLOW_LIMIT and mag.min() >= _UNDERFLOW_LIMIT):
+                nodes += _sign_changes(buf, counted, k)
+                counted = k
+                needs = (mag > _OVERFLOW_LIMIT) | ((mag < _UNDERFLOW_LIMIT) & (mag > 0.0))
+                factor = np.where(needs, 1.0 / np.maximum(mag, 1.0e-290), 1.0)
+                u[k - 1] *= factor
+                u[k] *= factor
+        nodes += _sign_changes(buf, counted, min(stop - 1, m_idx - base))
     return (window if outward else window[::-1]), nodes
+
+
+def _sign_changes(buf: np.ndarray, after: int, last: int) -> np.ndarray:
+    """Per column, the strict sign changes between buffer rows k - 1 and k
+    for ``after < k <= last``."""
+    return np.count_nonzero(buf[after + 1 : last + 1] * buf[after:last] < 0.0, axis=0)
 
 
 def _mismatch_from_windows(win_o, win_i, h: float):
@@ -451,11 +474,55 @@ def _refine(family: ProblemFamily, m_idx: int, lo, hi, flo, fhi, tol: float) -> 
     return 0.5 * (a + b)
 
 
+class _Scan(NamedTuple):
+    m_idx: int
+    energies: np.ndarray
+    mismatch: np.ndarray
+    nodes: np.ndarray
+    cells: np.ndarray  # ascending indices i where the mismatch changes sign on [i, i + 1]
+
+
+def _scan(
+    family: ProblemFamily,
+    window: Tuple[float, float],
+    tol: float,
+    scan_points: int,
+    match_index: Optional[int],
+) -> Optional[_Scan]:
+    """Checks the arguments, then marches the padded energy grid in one
+    batch; None when W never turns negative."""
+    lo, hi = window
+    if not hi > lo:
+        raise ValueError(f"bad window ({lo}, {hi})")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if scan_points < 2:
+        raise ValueError(f"scan_points must be at least 2, got {scan_points}")
+    m_idx = match_index if match_index is not None else _match_index(family, window)
+    if m_idx is None:
+        return None
+    m_idx = min(max(m_idx, 4), len(family.r) - 6)
+    pad = (hi - lo) * 1.0e-9
+    e_grid = np.linspace(lo + pad, hi - pad, scan_points)
+    fvals, nodes = _match_vec(family, e_grid, m_idx)
+    finite = np.isfinite(fvals)
+    cells = np.flatnonzero(finite[:-1] & finite[1:] & (fvals[:-1] * fvals[1:] < 0.0))
+    return _Scan(m_idx, e_grid, fvals, nodes, cells)
+
+
+def _cell_root(family: ProblemFamily, scan: _Scan, i: int, tol: float) -> Tuple[float, int]:
+    """Refined root of sign-change cell ``i`` and its node count."""
+    e, f = scan.energies, scan.mismatch
+    root = _refine(family, scan.m_idx, e[i], e[i + 1], f[i], f[i + 1], tol)
+    _, nodes = _match_scalar(family, root, scan.m_idx)
+    return float(root), int(nodes)
+
+
 def scan_eigenvalues(
     family: ProblemFamily,
     window: Tuple[float, float],
     tol: float = 1.0e-10,
-    scan_points: int = 240,
+    scan_points: int = _SCAN_POINTS,
     match_index: Optional[int] = None,
 ) -> List[Tuple[float, int]]:
     """All shooting eigenvalues in the window as (energy, node count) pairs.
@@ -464,25 +531,10 @@ def scan_eigenvalues(
     region, or when the matching function has no zero crossing.
     ``match_index`` overrides the automatic match-point choice.
     """
-    lo, hi = window
-    if not hi > lo:
-        raise ValueError(f"bad window ({lo}, {hi})")
-    m_idx = match_index if match_index is not None else _match_index(family, window)
-    if m_idx is None:
+    scan = _scan(family, window, tol, scan_points, match_index)
+    if scan is None:
         return []
-    m_idx = min(max(m_idx, 4), len(family.r) - 6)
-    pad = (hi - lo) * 1.0e-9
-    e_grid = np.linspace(lo + pad, hi - pad, scan_points)
-    fvals, _ = _match_vec(family, e_grid, m_idx)
-
-    finite = np.isfinite(fvals)
-    cells = np.flatnonzero(finite[:-1] & finite[1:] & (fvals[:-1] * fvals[1:] < 0.0))
-    results: List[Tuple[float, int]] = []
-    for i in cells:
-        root = _refine(family, m_idx, e_grid[i], e_grid[i + 1], fvals[i], fvals[i + 1], tol)
-        _, nodes = _match_scalar(family, root, m_idx)
-        results.append((float(root), int(nodes)))
-    return results
+    return [_cell_root(family, scan, i, tol) for i in scan.cells]
 
 
 def shoot_eigenvalue(
@@ -493,17 +545,31 @@ def shoot_eigenvalue(
     match_index: Optional[int] = None,
 ) -> float:
     """Eigenvalue in the window whose eigenfunction has the requested number
-    of interior nodes."""
-    found = scan_eigenvalues(family, window, tol=tol, match_index=match_index)
-    if not found:
+    of interior nodes.
+
+    The node counts of the batched scan pick the brackets to refine: first,
+    in ascending energy, the sign-change cells whose endpoint counts bracket
+    ``node_target``, returning the first root whose own count is
+    ``node_target``. Only if none of those roots has it are the other cells
+    refined, also in ascending energy, as a fallback; when no root has the
+    count, ``NodeMismatch`` lists the counts of all of them.
+    """
+    if node_target < 0:
+        raise ValueError(f"node_target must be nonnegative, got {node_target}")
+    scan = _scan(family, window, tol, _SCAN_POINTS, match_index)
+    if scan is None or not len(scan.cells):
         raise NoRootInWindow(
             f"no matching-function zero in ({window[0]}, {window[1]}) for {family.label}"
         )
-    for e, nodes in found:
+    left, right = scan.nodes[scan.cells], scan.nodes[scan.cells + 1]
+    targeted = (np.minimum(left, right) <= node_target) & (node_target <= np.maximum(left, right))
+    counts = []
+    for i in np.concatenate([scan.cells[targeted], scan.cells[~targeted]]):
+        e, nodes = _cell_root(family, scan, i, tol)
         if nodes == node_target:
             return e
-    counts = sorted(nodes for _, nodes in found)
-    raise NodeMismatch(f"roots found with node counts {counts}, wanted {node_target}")
+        counts.append(nodes)
+    raise NodeMismatch(f"roots found with node counts {sorted(counts)}, wanted {node_target}")
 
 
 # ---------------------------------------------------------------------------

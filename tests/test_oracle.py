@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from iqy_dirac import oracle
+from iqy_dirac.cli import COULOMB_ANCHOR_STATES
 from iqy_dirac.dirac_iqy import PSPIN, SPIN, PhysicalParams, scan_window
 from iqy_dirac.errors import NodeMismatch, NoRootInWindow, SeedUndefined
 from iqy_dirac.limits import coulomb_energy
@@ -16,6 +18,7 @@ from iqy_dirac.oracle import (
     _match_scalar,
     _match_vec,
     _outward_seed_scalar,
+    _refine,
     _sweep_vec,
     coulomb_family,
     count_nodes,
@@ -428,6 +431,181 @@ class TestReferenceLoop:
             self._same(nodes, ref_nodes)
             got = _march(family, float(energies[-1]), outward, stop, 5)
             assert repr(got) == repr(_reference_march(family, float(energies[-1]), outward, stop, 5))
+        # node-rich: near E = -0.99 the kappa = 1 anchor has 5-7 nodes over
+        # the grid, so sign changes fall on both sides of many chunk edges;
+        # 191 chunk strides of 62 rows end the march at the same place in its
+        # last chunk as ``stop``
+        family, energies = coulomb_family(1.0, -1.0, 1), np.linspace(-0.995, -0.985, 5)
+        last = len(family.r) - 1
+        long_stop = stop + 62 * 191
+        for outward, m_idx in ((True, long_stop - 2), (False, last - long_stop + 2)):
+            window, nodes = _sweep_vec(family, energies, m_idx, outward)
+            ref_window, ref_nodes = _reference_sweep(family, energies, m_idx, outward)
+            self._same(window, ref_window)
+            self._same(nodes, ref_nodes)
+            assert ref_nodes.min() >= 5
+
+    def test_infinite_sample_counted_before_rescale(self):
+        # b = 1 - h^2 W / 12 is exactly 0 at one grid row, so the march
+        # divides by zero there: the infinite sample and its sign change
+        # count before the rescale turns it into NaN and its neighbour into 0
+        h = 0.25
+        spike_row = 20
+
+        def c0(r):
+            w = -4.0 + 0.0 * r
+            w[spike_row] = 12.0 / (h * h)
+            return w
+
+        family = ProblemFamily(
+            c0_fn=c0,
+            c1_fn=lambda r: 0.0 * r,
+            gamma=lambda e: 0.0 * np.asarray(e),
+            beta_sq=lambda e: 0.0 * np.asarray(e),
+            nu=lambda e: np.asarray(e, dtype=float),
+            r_min=h,
+            r_max=40.0,
+            step=h,
+            label="spike",
+        )
+        assert 1.0 - h * h / 12.0 * c0(np.ones(spike_row + 1))[spike_row] == 0.0
+        energies = np.linspace(0.5, 40.0, 40)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            window, nodes = _sweep_vec(family, energies, 100, True)
+            ref_window, ref_nodes = _reference_sweep(family, energies, 100, True)
+        self._same(window, ref_window)
+        self._same(nodes, ref_nodes)
+
+
+def _reference_scan(family, window, tol=1e-10, scan_points=240, match_index=None):
+    """scan_eigenvalues as first written: every sign-change cell of the
+    batched scan refined, in ascending energy."""
+    lo, hi = window
+    m_idx = match_index if match_index is not None else _match_index(family, window)
+    if m_idx is None:
+        return []
+    m_idx = min(max(m_idx, 4), len(family.r) - 6)
+    pad = (hi - lo) * 1.0e-9
+    e_grid = np.linspace(lo + pad, hi - pad, scan_points)
+    fvals, _ = _match_vec(family, e_grid, m_idx)
+    found = []
+    for i in range(scan_points - 1):
+        f_lo, f_hi = fvals[i], fvals[i + 1]
+        if np.isfinite(f_lo) and np.isfinite(f_hi) and f_lo * f_hi < 0.0:
+            root = _refine(family, m_idx, e_grid[i], e_grid[i + 1], f_lo, f_hi, tol)
+            found.append((float(root), int(_match_scalar(family, root, m_idx)[1])))
+    return found
+
+
+def _reference_pick(family, window, found, node_target):
+    """shoot_eigenvalue as first written, given every refined root: the
+    first with the wanted node count."""
+    if not found:
+        raise NoRootInWindow(
+            f"no matching-function zero in ({window[0]}, {window[1]}) for {family.label}"
+        )
+    for e, nodes in found:
+        if nodes == node_target:
+            return e
+    counts = sorted(nodes for _, nodes in found)
+    raise NodeMismatch(f"roots found with node counts {counts}, wanted {node_target}")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except (NodeMismatch, NoRootInWindow) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestShootReference:
+    """shoot_eigenvalue refines first the brackets whose scan node counts
+    bracket the target; it must return what refining every bracket and then
+    picking returned, errors included."""
+
+    WINDOW = (-0.999, -0.02)
+
+    def _check(self, family, window, node_targets, match_index=None):
+        found = _reference_scan(family, window, match_index=match_index)
+        for n in node_targets:
+            got = _outcome(shoot_eigenvalue, family, window, n, tol=1e-10, match_index=match_index)
+            assert got == _outcome(_reference_pick, family, window, found, n)
+
+    @pytest.mark.parametrize("match_index", [None, 100, 400, 2000])
+    @pytest.mark.parametrize("kappa", [1, 2, -1, 3])
+    def test_coulomb_anchors(self, kappa, match_index):
+        family = coulomb_family(1.0, -1.0, kappa)
+        if match_index is None:
+            want = _reference_scan(family, self.WINDOW)
+            assert repr(scan_eigenvalues(family, self.WINDOW)) == repr(want)
+        self._check(family, self.WINDOW, range(4), match_index)
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    @pytest.mark.parametrize("screening", [0.2, 0.1, 0.05])
+    def test_hard_wall_spin(self, screening, approximate):
+        # the acceptance criterion 8 families; n = 1 is a NodeMismatch
+        family = spin_family(
+            caption_params(screening=screening), -2, approximate=approximate,
+            r_min=0.05, r_max=15.0, step=1e-3, hard_wall=True,
+        )
+        window = (3.5, 4.9)
+        got = scan_eigenvalues(family, window, tol=1e-10, scan_points=120)
+        assert repr(got) == repr(_reference_scan(family, window, scan_points=120))
+        self._check(family, window, (0, 1))
+
+    def test_node_mismatch(self):
+        family = coulomb_family(1.0, -1.0, 1)
+        self._check(family, (-0.7, -0.3), (7,))
+        with pytest.raises(NodeMismatch, match=r"node counts \[0\], wanted 7"):
+            shoot_eigenvalue(family, (-0.7, -0.3), node_target=7)
+
+    def test_anchor_shot_refines_one_bracket(self, monkeypatch):
+        # the kappa = 1 and 2 windows hold 7, 7 and 6 brackets
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _refine(*args)
+
+        monkeypatch.setattr(oracle, "_refine", counted)
+        for n, kappa in COULOMB_ANCHOR_STATES:
+            calls.clear()
+            shoot_eigenvalue(coulomb_family(1.0, -1.0, kappa), self.WINDOW, n, tol=1e-10)
+            assert len(calls) == 1
+
+
+class TestInputChecks:
+    """Bad arguments fail with ValueError before any march."""
+
+    WINDOW = (-0.999, -0.02)
+
+    @pytest.fixture
+    def family(self, monkeypatch):
+        def no_march(*args):
+            raise AssertionError("marched before checking the arguments")
+
+        monkeypatch.setattr(oracle, "_match_vec", no_march)
+        monkeypatch.setattr(oracle, "_march", no_march)
+        return coulomb_family(1.0, -1.0, 1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("shoot", [False, True])
+    def test_tol_positive_and_finite(self, family, shoot, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            if shoot:
+                shoot_eigenvalue(family, self.WINDOW, 0, tol=tol)
+            else:
+                scan_eigenvalues(family, self.WINDOW, tol=tol)
+
+    @pytest.mark.parametrize("scan_points", [1, 0, -5])
+    def test_scan_points_at_least_two(self, family, scan_points):
+        with pytest.raises(ValueError, match="scan_points must be at least 2"):
+            scan_eigenvalues(family, self.WINDOW, scan_points=scan_points)
+
+    @pytest.mark.parametrize("node_target", [-1, -7])
+    def test_node_target_nonnegative(self, family, node_target):
+        with pytest.raises(ValueError, match="node_target must be nonnegative"):
+            shoot_eigenvalue(family, self.WINDOW, node_target)
 
 
 class TestRadialProblem:
