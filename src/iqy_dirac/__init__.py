@@ -27,6 +27,7 @@ from .dirac_iqy import (
     quantum_number_map,
     scan_window,
     select_branch_root,
+    solve_batch,
     solve_energies,
     spin_nu_coefficients,
     strict_window,
@@ -53,6 +54,7 @@ from .oracle import (
     pspin_family,
     scan_eigenvalues,
     shoot_eigenvalue,
+    shoot_eigenvalues,
     spin_family,
 )
 from .special_fn import DEGREE_CAP, jacobi, jacobi_derivative, laguerre

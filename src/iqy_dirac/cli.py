@@ -30,6 +30,7 @@ from .dirac_iqy import (
     greene_aldrich,
     quantum_number_map,
     select_branch_root,
+    solve_batch,
     solve_energies,
 )
 from .errors import ConfigError, EmptyWindow, IoError, NoRoot
@@ -224,11 +225,9 @@ def _write_text(path: Optional[str], text: str) -> None:
 # spectrum
 
 
-def _spectrum_row(cfg: RunConfig, n: int, kappa: int, h: float) -> dict:
-    params = cfg.physical(h)
-    sols = solve_energies(
-        params, n, kappa, cfg.symmetry, window=cfg.window, tol=cfg.tol, mode="relaxed"
-    )
+def _spectrum_row(
+    cfg: RunConfig, n: int, kappa: int, h: float, sols: Sequence[dirac_iqy.EnergySolution]
+) -> dict:
     sol = select_branch_root(sols, cfg.symmetry)
     qn = attach_radial_number(quantum_number_map(kappa), n, cfg.symmetry)
     return {
@@ -256,12 +255,17 @@ def _rows_to_json(rows: Sequence[dict]) -> str:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    rows = [
-        _spectrum_row(cfg, n, kappa, h)
+    keys = [
+        (n, kappa, h)
         for n in range(cfg.n_min, cfg.n_max + 1)
         for kappa in cfg.kappas
         for h in cfg.tensor_h
     ]
+    solved = solve_batch(
+        [(cfg.physical(h), n, kappa) for n, kappa, h in keys],
+        cfg.symmetry, window=cfg.window, tol=cfg.tol, mode="relaxed",
+    )
+    rows = [_spectrum_row(cfg, *key, sols) for key, sols in zip(keys, solved)]
     rows.sort(key=lambda r: (r["symmetry"], r["n_nu"], r["kappa"], r["H"]))
     text = _rows_to_csv(rows) if cfg.fmt == "csv" else _rows_to_json(rows)
     _write_text(cfg.out, text)
@@ -336,10 +340,16 @@ def cmd_crosscheck(cfg: RunConfig) -> int:
     failures = 0
 
     lines.append("## coulomb anchor (mass=1, B=-1)")
+    # one family and one scan per kappa, shared by its radial numbers
+    anchor_shots = {}
+    for kappa in dict.fromkeys(kappa for _, kappa in COULOMB_ANCHOR_STATES):
+        family = oracle.coulomb_family(1.0, -1.0, kappa, r_max=60.0, step=5.0e-3)
+        targets = [n for n, k in COULOMB_ANCHOR_STATES if k == kappa]
+        shots = oracle.shoot_eigenvalues(family, (-0.999, -0.02), targets, tol=1.0e-10)
+        anchor_shots.update(((n, kappa), shot) for n, shot in zip(targets, shots))
     for n, kappa in COULOMB_ANCHOR_STATES:
         closed = coulomb_energy(1.0, -1.0, n, kappa)
-        family = oracle.coulomb_family(1.0, -1.0, kappa, r_max=60.0, step=5.0e-3)
-        shot = oracle.shoot_eigenvalue(family, (-0.999, -0.02), node_target=n, tol=1.0e-10)
+        shot = anchor_shots[n, kappa]
         gap = abs(closed - shot)
         ok = gap <= CROSSCHECK_TOLERANCE
         failures += 0 if ok else 1
@@ -351,13 +361,17 @@ def cmd_crosscheck(cfg: RunConfig) -> int:
     lines.append("## configured states (strict closed form vs shooting)")
     for h in cfg.tensor_h:
         params = cfg.physical(h)
+        # scan_window and the oracle family do not depend on n: one scan per kappa
+        kappa_shots = {}
         for n in range(cfg.n_min, cfg.n_max + 1):
             for kappa in cfg.kappas:
-                bounds = dirac_iqy.scan_window(params, n, kappa, cfg.symmetry, cfg.window)
-                shots: List[Tuple[float, int]] = []
-                if bounds is not None:
-                    family = oracle.iqy_family(params, kappa, cfg.symmetry)
-                    shots = oracle.scan_eigenvalues(family, bounds, tol=1.0e-9)
+                if kappa not in kappa_shots:
+                    bounds = dirac_iqy.scan_window(params, n, kappa, cfg.symmetry, cfg.window)
+                    kappa_shots[kappa] = []
+                    if bounds is not None:
+                        family = oracle.iqy_family(params, kappa, cfg.symmetry)
+                        kappa_shots[kappa] = oracle.scan_eigenvalues(family, bounds, tol=1.0e-9)
+                shots = kappa_shots[kappa]
                 if shots:
                     failures += 1
                     lines.append(
@@ -456,12 +470,13 @@ def cmd_reproduce_tables(cfg: RunConfig) -> int:
     lines.append("## screening fit on the pspin anchor entry")
     target = float(anchor_e)
     alphas = np.geomspace(1.0e-3, 0.5, 25)
-    best_gap: Optional[float] = None
-    for alpha in alphas:
-        params = replace(p0, screening=float(alpha))
-        for sol in solve_energies(params, anchor_n, anchor_kappa, PSPIN, mode="relaxed"):
-            gap = abs(sol.e - target)
-            best_gap = gap if best_gap is None else min(best_gap, gap)
+    fits = solve_batch(
+        [(replace(p0, screening=float(alpha)), anchor_n, anchor_kappa) for alpha in alphas],
+        PSPIN,
+        mode="relaxed",
+    )
+    gaps = [abs(sol.e - target) for sols in fits for sol in sols]
+    best_gap = min(gaps) if gaps else None
     lines.append(  # the strict set is empty by the proof in solve_energies
         "no screening value in [0.001, 0.5] admits a strict root: "
         "the published energy makes beta_sq negative, so the principal-branch "

@@ -18,9 +18,13 @@ spin), the charge constant C, the centrifugal shift and the component the
 closed form describes; gamma = E + s*M - C, beta^2 = (s*M - E)*gamma, the
 strict thresholds s*M and C - s*M and the companion coupling all follow.
 
-``solve_energies`` evaluates the squared form on a 2000-cell grid over the
-scan window, brackets every sign change at once and bisects all brackets
-together. Every root found is the "relaxed" set. The "strict" set, roots of
+``solve_batch`` is the one root finder. It takes the states of one symmetry,
+evaluates the squared form on a 2000-cell grid over each state's scan
+window, brackets every sign change and bisects the brackets of all states
+together in one loop, each bracket carrying its state's coefficients as
+columns; ``solve_energies`` is its batch of one. A whole spectrum table is
+one batch, so the loop's numpy calls are paid once per table, not once per
+state. Every root found is the "relaxed" set. The "strict" set, roots of
 the printed condition with principal square roots, is empty for every
 parameter set (proof in ``solve_energies``), so strict mode returns it
 without scanning.
@@ -255,21 +259,42 @@ def energy_residual_rearranged(
     return float(residual), bool(sign_ok)
 
 
+def _coefficients(params: PhysicalParams, n: int, kappa: int, sym: Symmetry) -> Tuple[float, ...]:
+    """One state's residual coefficients as Python floats: s*M, C, V0,
+    (lambda - 1/2)^2, n + 1/2 and 4 alpha^2. The square is a scalar pow(),
+    which an array's ``** 2`` (x * x) does not always match."""
+    lam = effective_centrifugal(kappa, params.tensor_h, sym.name)
+    return (
+        sym.sign * params.mass,
+        getattr(params, sym.charge),
+        params.v0,
+        (lam - 0.5) ** 2,
+        n + 0.5,
+        4.0 * params.screening**2,
+    )
+
+
+def _residual_columns(e, sm, charge, v0, lq, nh, four_alpha_sq):
+    """Squared-form residual, sign flag and beta^2 at energies ``e``; each
+    coefficient of ``_coefficients`` is a float or a column matching ``e``.
+    nan where the inner radicand fails. P = n + 1/2 + q is positive, so the
+    division needs no guard."""
+    gamma = e + sm - charge
+    bsq = (sm - e) * gamma
+    rad = lq - gamma * v0
+    rad = np.where(rad >= -RADICAND_TOLERANCE, np.maximum(rad, 0.0), np.nan)
+    big_p = nh + np.sqrt(rad)
+    t = gamma * v0 + big_p * big_p
+    residual = bsq - four_alpha_sq * (t / (2.0 * big_p)) ** 2
+    return residual, t <= 0.0, bsq
+
+
 def _rearranged_vec(
     params: PhysicalParams, n: int, kappa: int, symmetry: str, e_arr: np.ndarray
 ):
-    """Squared-form residual, sign flag and beta^2 for a float or an array of
-    energies; nan where the inner radicand fails. P = n + 1/2 + q is
-    positive, so the division needs no guard."""
-    sym = symmetry_record(symmetry)
-    gamma, bsq = _couplings(params, e_arr, sym)
-    rad = _centrifugal_radicand(params, kappa, gamma, sym)
-    rad = np.where(rad >= -RADICAND_TOLERANCE, np.maximum(rad, 0.0), np.nan)
-    q = np.sqrt(rad)
-    big_p = n + 0.5 + q
-    t = gamma * params.v0 + big_p * big_p
-    residual = bsq - 4.0 * params.screening**2 * (t / (2.0 * big_p)) ** 2
-    return residual, t <= 0.0, bsq
+    """Squared-form residual, sign flag and beta^2 of one state for a float
+    or an array of energies."""
+    return _residual_columns(e_arr, *_coefficients(params, n, kappa, symmetry_record(symmetry)))
 
 
 @dataclass
@@ -319,6 +344,101 @@ def scan_window(
     return lo, hi
 
 
+State = Tuple[PhysicalParams, int, int]  # (params, n, kappa)
+
+
+def solve_batch(
+    states: Sequence[State],
+    symmetry: str,
+    window: Optional[Tuple[float, float]] = None,
+    tol: float = 1.0e-12,
+    mode: str = "strict",
+) -> List[List[EnergySolution]]:
+    """``solve_energies`` for each (params, n, kappa) of one symmetry, in order.
+
+    Each state's grid is scanned on its own with its own coefficients, then
+    the sign-change brackets of every state are bisected in one loop, each
+    bracket with its own coefficient columns and its own ``live`` mask, so
+    no bracket's path depends on the others: every list is the one the state
+    gives alone.
+    """
+    if mode not in ("strict", "relaxed"):
+        raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    sym = symmetry_record(symmetry)
+    bounds = [scan_window(params, n, kappa, symmetry, window) for params, n, kappa in states]
+    if mode == "strict":
+        return [[] for _ in states]
+    coeffs = [_coefficients(params, n, kappa, sym) for params, n, kappa in states]
+    zeros, lows, highs, f_lows, counts = [], [], [], [], []
+    for coeff, bound in zip(coeffs, bounds):
+        e_grid = np.empty(0)
+        if bound is not None:
+            lo, hi = bound
+            step = (hi - lo) / 2000.0
+            # (hi - lo) / step rounds up to 2001 cells for about one width in
+            # eight; kept so the grid, and with it every printed root, stays.
+            e_grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
+        res, _, _ = _residual_columns(e_grid, *coeff)
+        cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
+        zeros.append(e_grid[res == 0.0])
+        lows.append(e_grid[cells])
+        highs.append(e_grid[cells + 1])
+        f_lows.append(res[cells])
+        counts.append(len(cells))
+    a, b, fa = (np.concatenate([np.empty(0), *parts]) for parts in (lows, highs, f_lows))
+    # row k holds coefficient k of every bracket's state
+    columns = np.repeat(np.array(coeffs).reshape(-1, 6).T, counts, axis=1)
+    # The cap ends the loop when tol is finer than the doubles near a root,
+    # where a bracket stops shrinking.
+    for _ in range(200):
+        live = b - a > tol
+        if not live.any():
+            break
+        mid = 0.5 * (a + b)
+        fmid, _, _ = _residual_columns(mid, *columns)
+        left = fa * fmid < 0.0
+        # an exact zero closes the bracket on itself
+        b = np.where(live & (left | (fmid == 0.0)), mid, b)
+        a = np.where(live & ~left, mid, a)
+    centres = np.split(0.5 * (a + b), np.cumsum(counts)[:-1])
+    return [
+        _solutions(state, sym, coeff, np.sort(np.concatenate((zero, centre))))
+        for state, coeff, zero, centre in zip(states, coeffs, zeros, centres)
+    ]
+
+
+def _solutions(
+    state: State, sym: Symmetry, coeff: Tuple[float, ...], roots: np.ndarray
+) -> List[EnergySolution]:
+    """One state's roots, ascending, as solutions; pseudospin keeps the
+    negative-energy branch."""
+    params, n, kappa = state
+    lam = effective_centrifugal(kappa, params.tensor_h, sym.name)
+    solutions = []
+    for root in roots.tolist():
+        if sym.sign < 0.0 and root >= 0.0:
+            continue
+        # Evaluated as a scalar: a scalar ``x ** 2`` rounds like pow(), an
+        # array's like x * x, and the printed residual uses the former.
+        residual, sign_ok, bsq = _residual_columns(root, *coeff)
+        sol = EnergySolution(
+            e=root,
+            symmetry=sym.name,
+            n=n,
+            kappa=kappa,
+            tensor_h=params.tensor_h,
+            residual=float(residual),
+            beta_sq=bsq,
+            lambda_or_eta=lam,
+            sign_ok=bool(sign_ok),
+            strict_valid=False,  # by the proof in solve_energies
+        )
+        solutions.append(sol)
+    return solutions
+
+
 def solve_energies(
     params: PhysicalParams,
     n: int,
@@ -328,7 +448,8 @@ def solve_energies(
     tol: float = 1.0e-12,
     mode: str = "strict",
 ) -> List[EnergySolution]:
-    """All roots of the squared residual in the scan window.
+    """All roots of the squared residual in the scan window: ``solve_batch``
+    of one state.
 
     ``mode='relaxed'`` returns every root: a 2000-cell scan brackets every
     sign change and all brackets are bisected together until each is
@@ -340,57 +461,7 @@ def solve_energies(
     gamma*V0 + P^2 can round to t <= 0 once |gamma*V0| nears 1e30, so the
     proof, not a scan, decides the strict set.
     """
-    if mode not in ("strict", "relaxed"):
-        raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    bounds = scan_window(params, n, kappa, symmetry, window)
-    if bounds is None or mode == "strict":
-        return []
-    sym = symmetry_record(symmetry)
-    lo, hi = bounds
-    step = (hi - lo) / 2000.0
-    # (hi - lo) / step rounds up to 2001 cells for about one width in eight;
-    # kept so the grid, and with it every printed root, stays as it was.
-    e_grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
-    res, _, _ = _rearranged_vec(params, n, kappa, symmetry, e_grid)
-
-    cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
-    a, b, fa = e_grid[cells], e_grid[cells + 1], res[cells]
-    # The cap ends the loop when tol is finer than the doubles near a root,
-    # where a bracket stops shrinking.
-    for _ in range(200):
-        live = b - a > tol
-        if not live.any():
-            break
-        mid = 0.5 * (a + b)
-        fmid, _, _ = _rearranged_vec(params, n, kappa, symmetry, mid)
-        left = fa * fmid < 0.0
-        # an exact zero closes the bracket on itself
-        b = np.where(live & (left | (fmid == 0.0)), mid, b)
-        a = np.where(live & ~left, mid, a)
-    lam = effective_centrifugal(kappa, params.tensor_h, symmetry)
-    solutions = []
-    for root in np.sort(np.concatenate((e_grid[res == 0.0], 0.5 * (a + b)))):
-        if sym.sign < 0.0 and root >= 0.0:
-            continue
-        # Evaluated as a scalar: a scalar ``x ** 2`` rounds like pow(), an
-        # array's like x * x, and the printed residual uses the former.
-        residual, sign_ok, bsq = _rearranged_vec(params, n, kappa, symmetry, float(root))
-        sol = EnergySolution(
-            e=float(root),
-            symmetry=symmetry,
-            n=n,
-            kappa=kappa,
-            tensor_h=params.tensor_h,
-            residual=float(residual),
-            beta_sq=bsq,
-            lambda_or_eta=lam,
-            sign_ok=bool(sign_ok),
-            strict_valid=False,  # by the proof above
-        )
-        solutions.append(sol)
-    return solutions
+    return solve_batch([(params, n, kappa)], symmetry, window, tol, mode)[0]
 
 
 def select_branch_root(

@@ -26,7 +26,8 @@ sign change of the matching function with the plain-float march. Shooting
 for one state uses the node counts the batched march already has: it
 refines first, in ascending energy, only the sign-change cells whose
 endpoint counts bracket the wanted count, and falls back to the other
-cells when none of those roots has it.
+cells when none of those roots has it. Shooting for several counts in one
+family shares one scan and refines each cell at most once.
 """
 
 from __future__ import annotations
@@ -537,6 +538,52 @@ def scan_eigenvalues(
     return [_cell_root(family, scan, i, tol) for i in scan.cells]
 
 
+def shoot_eigenvalues(
+    family: ProblemFamily,
+    window: Tuple[float, float],
+    node_targets: Sequence[int],
+    tol: float = 1.0e-10,
+    match_index: Optional[int] = None,
+) -> List[float]:
+    """For each requested number of interior nodes, the eigenvalue in the
+    window whose eigenfunction has it; one batched scan serves them all.
+
+    The node counts of the scan pick the brackets to refine: first, in
+    ascending energy, the sign-change cells whose endpoint counts bracket
+    the target, returning the first root whose own count is the target.
+    Only if none of those roots has it are the other cells refined, also in
+    ascending energy, as a fallback; when no root has the count,
+    ``NodeMismatch`` lists the counts of all of them. A cell refined for one
+    target is not refined again for another.
+    """
+    for node_target in node_targets:
+        if node_target < 0:
+            raise ValueError(f"node_target must be nonnegative, got {node_target}")
+    scan = _scan(family, window, tol, _SCAN_POINTS, match_index)
+    if scan is None or not len(scan.cells):
+        raise NoRootInWindow(
+            f"no matching-function zero in ({window[0]}, {window[1]}) for {family.label}"
+        )
+    left, right = scan.nodes[scan.cells], scan.nodes[scan.cells + 1]
+    low, high = np.minimum(left, right), np.maximum(left, right)
+    refined = {}
+    found = []
+    for node_target in node_targets:
+        targeted = (low <= node_target) & (node_target <= high)
+        counts = []
+        for i in np.concatenate([scan.cells[targeted], scan.cells[~targeted]]).tolist():
+            if i not in refined:
+                refined[i] = _cell_root(family, scan, i, tol)
+            e, nodes = refined[i]
+            if nodes == node_target:
+                found.append(e)
+                break
+            counts.append(nodes)
+        else:
+            raise NodeMismatch(f"roots found with node counts {sorted(counts)}, wanted {node_target}")
+    return found
+
+
 def shoot_eigenvalue(
     family: ProblemFamily,
     window: Tuple[float, float],
@@ -545,31 +592,8 @@ def shoot_eigenvalue(
     match_index: Optional[int] = None,
 ) -> float:
     """Eigenvalue in the window whose eigenfunction has the requested number
-    of interior nodes.
-
-    The node counts of the batched scan pick the brackets to refine: first,
-    in ascending energy, the sign-change cells whose endpoint counts bracket
-    ``node_target``, returning the first root whose own count is
-    ``node_target``. Only if none of those roots has it are the other cells
-    refined, also in ascending energy, as a fallback; when no root has the
-    count, ``NodeMismatch`` lists the counts of all of them.
-    """
-    if node_target < 0:
-        raise ValueError(f"node_target must be nonnegative, got {node_target}")
-    scan = _scan(family, window, tol, _SCAN_POINTS, match_index)
-    if scan is None or not len(scan.cells):
-        raise NoRootInWindow(
-            f"no matching-function zero in ({window[0]}, {window[1]}) for {family.label}"
-        )
-    left, right = scan.nodes[scan.cells], scan.nodes[scan.cells + 1]
-    targeted = (np.minimum(left, right) <= node_target) & (node_target <= np.maximum(left, right))
-    counts = []
-    for i in np.concatenate([scan.cells[targeted], scan.cells[~targeted]]):
-        e, nodes = _cell_root(family, scan, i, tol)
-        if nodes == node_target:
-            return e
-        counts.append(nodes)
-    raise NodeMismatch(f"roots found with node counts {sorted(counts)}, wanted {node_target}")
+    of interior nodes: ``shoot_eigenvalues`` of one target."""
+    return shoot_eigenvalues(family, window, [node_target], tol, match_index)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iqy_dirac import cli
+from iqy_dirac import cli, oracle
 from iqy_dirac.cli import (
     CSV_HEADER,
     RunConfig,
@@ -349,6 +349,30 @@ class TestCrosscheck:
         cfg = RunConfig(symmetry="pspin", n_min=0, n_max=0, kappas=[-1])
         cfg.out = str(tmp_path / "cc.txt")
         assert cmd_crosscheck(cfg) == 3
+
+    @pytest.mark.parametrize(
+        "argv,scans",
+        [
+            # anchors: one scan for kappa = 1 (n = 0, 1), one for kappa = 2;
+            # then one spin Numerov march for the configured kappa
+            (["--symmetry", "spin", "--n-min", "0", "--n-max", "0", "--kappa", "-2"], 3),
+            # n = 0, 1, 2 share the kappa = -1 family and its scan
+            (["--symmetry", "spin"], 3),
+            (["--symmetry", "spin", "--kappa", "-2,-1", "--tensor-h", "0,0.3"], 6),
+        ],
+    )
+    def test_one_scan_per_family(self, argv, scans, tmp_path, monkeypatch):
+        calls = []
+        match_vec = oracle._match_vec
+
+        def counted(*args):
+            calls.append(args[0].label)
+            return match_vec(*args)
+
+        monkeypatch.setattr(oracle, "_match_vec", counted)
+        assert run_main(["crosscheck", *argv, "--out", str(tmp_path / "cc.txt")]) == 0
+        assert len(calls) == scans
+        assert len(set(calls)) == scans
 
     def test_quality_column_shrinks(self, tmp_path):
         out = tmp_path / "cc.txt"

@@ -26,6 +26,7 @@ from iqy_dirac.dirac_iqy import (
     quantum_number_map,
     scan_window,
     select_branch_root,
+    solve_batch,
     solve_energies,
     spin_nu_coefficients,
     strict_window,
@@ -294,6 +295,7 @@ class TestSolveEnergies:
             raise AssertionError("strict mode evaluated the residual")
 
         monkeypatch.setattr(dirac_iqy, "_rearranged_vec", refuse)
+        monkeypatch.setattr(dirac_iqy, "_residual_columns", refuse)
         p = caption_params()
         assert solve_energies(p, 1, -1, PSPIN, mode="strict") == []
         assert solve_energies(p, 0, -2, SPIN, mode="strict") == []
@@ -413,6 +415,145 @@ class TestSolveEnergies:
     def test_strict_window_empty_raises(self):
         with pytest.raises(EmptyWindow):
             strict_window(PhysicalParams(mass=1.0, v0=1.0, screening=0.1, c_pspin=-3.0), PSPIN)
+
+
+def reference_solve(p, n, kappa, symmetry, window=None, tol=1e-12):
+    """solve_energies(mode="relaxed") as written before states were batched:
+    one state's brackets bisected together, the residual written out with
+    the state's coefficients as Python floats."""
+
+    def residual(e):
+        gamma = gamma_factor(p, e, symmetry)
+        bsq = beta_squared(p, e, symmetry)
+        lam = effective_centrifugal(kappa, p.tensor_h, symmetry)
+        rad = (lam - 0.5) ** 2 - gamma * p.v0
+        rad = np.where(rad >= -1.0e-12, np.maximum(rad, 0.0), np.nan)
+        big_p = n + 0.5 + np.sqrt(rad)
+        t = gamma * p.v0 + big_p * big_p
+        return bsq - 4.0 * p.screening**2 * (t / (2.0 * big_p)) ** 2, t <= 0.0, bsq
+
+    bounds = scan_window(p, n, kappa, symmetry, window)
+    if bounds is None:
+        return []
+    lo, hi = bounds
+    step = (hi - lo) / 2000.0
+    e_grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
+    res, _, _ = residual(e_grid)
+    cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
+    a, b, fa = e_grid[cells], e_grid[cells + 1], res[cells]
+    for _ in range(200):
+        live = b - a > tol
+        if not live.any():
+            break
+        mid = 0.5 * (a + b)
+        fmid, _, _ = residual(mid)
+        left = fa * fmid < 0.0
+        b = np.where(live & (left | (fmid == 0.0)), mid, b)
+        a = np.where(live & ~left, mid, a)
+    solutions = []
+    for root in np.sort(np.concatenate((e_grid[res == 0.0], 0.5 * (a + b)))):
+        if symmetry == PSPIN and root >= 0.0:
+            continue
+        value, sign_ok, bsq = residual(float(root))
+        solutions.append(dirac_iqy.EnergySolution(
+            e=float(root), symmetry=symmetry, n=n, kappa=kappa, tensor_h=p.tensor_h,
+            residual=float(value), beta_sq=bsq,
+            lambda_or_eta=effective_centrifugal(kappa, p.tensor_h, symmetry),
+            sign_ok=bool(sign_ok), strict_valid=False,
+        ))
+    return solutions
+
+
+# States of one batch share mass and charges, as the rows of a spectrum table
+# do, and differ in the rest. H = 0.5 with kappa = -1 gives a spin state an
+# empty scan window whenever V0 > 0.
+BATCH_STATE = st.tuples(
+    st.floats(min_value=0.0, max_value=10.0),  # v0
+    st.floats(min_value=1e-3, max_value=1.0),  # screening
+    st.one_of(st.floats(min_value=0.0, max_value=6.0), st.sampled_from([0.3, 0.5, 1.7, 5.464])),
+    st.integers(min_value=0, max_value=5),  # n
+    st.integers(min_value=-6, max_value=6).filter(bool),  # kappa
+)
+# Windows as fractions of the strict domain; "sliver" overlaps it by less
+# than the margins, so no state has a scan window.
+BATCH_WINDOW = st.one_of(
+    st.none(),
+    st.just("sliver"),
+    st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)).filter(lambda w: w[0] < w[1]),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except EmptyWindow as exc:
+        return f"EmptyWindow: {exc}"
+
+
+class TestBatchedSolve:
+    """solve_batch bisects the brackets of many states in one loop; each
+    state's solutions must be, bit for bit, those it gets alone."""
+
+    @staticmethod
+    def _batch(mass, cs_ratio, cps_ratio, symmetry, rows, window):
+        states = [
+            (PhysicalParams(mass=mass, v0=v0, screening=alpha, tensor_h=h,
+                            c_spin=cs_ratio * mass, c_pspin=cps_ratio * mass), n, kappa)
+            for v0, alpha, h, n, kappa in rows
+        ]
+        if window is not None:
+            lo, hi = strict_window(states[0][0], symmetry)
+            if window == "sliver":
+                window = (lo - 1.0, lo + 1e-9)
+            else:
+                window = (lo + window[0] * (hi - lo), lo + window[1] * (hi - lo))
+        return states, window
+
+    @given(
+        mass=st.floats(min_value=0.5, max_value=10.0),
+        cs_ratio=st.floats(min_value=-1.0, max_value=1.9),
+        cps_ratio=st.floats(min_value=-1.9, max_value=1.0),
+        symmetry=st.sampled_from([PSPIN, SPIN]),
+        rows=st.lists(BATCH_STATE, min_size=1, max_size=6),
+        window=BATCH_WINDOW,
+        tol=st.sampled_from([1e-12, 1e-6]),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(mass=1.0, cs_ratio=0.0, cps_ratio=0.0, symmetry=SPIN,
+             rows=[(1.0, 0.05, 0.5, 0, -1), (1.0, 0.05, 0.3, 1, -2)], window=None, tol=1e-12)
+    @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=PSPIN,
+             rows=[(1.0, 0.05, 5.464, 1, 3), (1.0, 0.05, 0.0, 1, -1)], window="sliver", tol=1e-6)
+    def test_batch_matches_each_state_alone(
+        self, mass, cs_ratio, cps_ratio, symmetry, rows, window, tol
+    ):
+        states, window = self._batch(mass, cs_ratio, cps_ratio, symmetry, rows, window)
+
+        def alone():
+            return [solve_energies(p, n, k, symmetry, window, tol, "relaxed") for p, n, k in states]
+
+        got = _outcome(solve_batch, states, symmetry, window, tol, "relaxed")
+        assert got == _outcome(alone)
+        if not got.startswith("EmptyWindow"):
+            want = [reference_solve(p, n, k, symmetry, window, tol) for p, n, k in states]
+            assert got == repr(want)
+
+    def test_strict_batch_is_empty(self):
+        p = caption_params()
+        assert solve_batch([(p, 1, -1), (p, 2, 3)], PSPIN) == [[], []]
+        with pytest.raises(EmptyWindow):
+            solve_batch([(p, 1, -1)], PSPIN, window=(-20.0, -10.0), mode="relaxed")
+
+    def test_empty_batch(self):
+        assert solve_batch([], SPIN, mode="relaxed") == []
+
+    def test_scalar_square_moves_the_residual(self):
+        # (lambda - 1/2)^2 at H = 5.464, kappa = 3 differs between pow() and
+        # x * x; the printed residual keeps pow()
+        x = effective_centrifugal(3, 5.464, PSPIN) - 0.5
+        assert x**2 != x * x
+        p = caption_params(tensor_h=5.464)
+        (sols,) = solve_batch([(p, 1, 3)], PSPIN, mode="relaxed")
+        assert repr(sols) == repr(reference_solve(p, 1, 3, PSPIN))
 
 
 class TestBranchSelection:

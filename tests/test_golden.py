@@ -2,7 +2,8 @@
 
 The files under ``tests/data`` were written by the CLI before the root finder
 was vectorized, the spin wavefunction and crosscheck files before spin and
-pseudospin were merged into one symmetry record. Any difference, including the
+pseudospin were merged into one symmetry record, the fractional-H spectrum
+before the states of a table were bisected in one batch. Any difference, including the
 noise-level residual column, is a regression, not a reason to regenerate them.
 """
 
@@ -23,6 +24,13 @@ GOLDEN = {
         "spectrum", "--symmetry", "spin", "--n-min", "0", "--n-max", "5",
         "--kappa", "-5,-4,-3,-2,-1,1,2,3,4,5",
         "--tensor-h", "0", "--tensor-h", "0.5", "--tensor-h", "5", "--format", "json",
+    ],
+    # H off the half-integers, where a residual coefficient's square rounds
+    # differently as pow() and as x * x (kappa = 3 at H = 5.464)
+    "spectrum_pspin_fractional_h.csv": [
+        "spectrum", "--symmetry", "pspin", "--n-min", "0", "--n-max", "2",
+        "--kappa", "-3,-2,-1,1,2,3", "--tensor-h", "0.3", "--tensor-h", "1.7",
+        "--tensor-h", "2.259", "--tensor-h", "5.464",
     ],
     "reproduce_tables.txt": ["reproduce-tables"],
     "wavefunction_pspin.csv": [

@@ -27,6 +27,7 @@ from iqy_dirac.oracle import (
     pspin_family,
     scan_eigenvalues,
     shoot_eigenvalue,
+    shoot_eigenvalues,
     spin_family,
 )
 
@@ -527,9 +528,16 @@ class TestShootReference:
 
     def _check(self, family, window, node_targets, match_index=None):
         found = _reference_scan(family, window, match_index=match_index)
-        for n in node_targets:
+        wants = [_outcome(_reference_pick, family, window, found, n) for n in node_targets]
+        for n, want in zip(node_targets, wants):
             got = _outcome(shoot_eigenvalue, family, window, n, tol=1e-10, match_index=match_index)
-            assert got == _outcome(_reference_pick, family, window, found, n)
+            assert got == want
+        # all targets from one scan: the values, or the first target's error
+        errors = [want for want in wants if want.startswith(("NodeMismatch", "NoRootInWindow"))]
+        batch = _outcome(
+            shoot_eigenvalues, family, window, list(node_targets), tol=1e-10, match_index=match_index
+        )
+        assert batch == (errors[0] if errors else "[" + ", ".join(wants) + "]")
 
     @pytest.mark.parametrize("match_index", [None, 100, 400, 2000])
     @pytest.mark.parametrize("kappa", [1, 2, -1, 3])
@@ -574,6 +582,28 @@ class TestShootReference:
             assert len(calls) == 1
 
 
+    @pytest.mark.parametrize("targets,refined", [([0, 1], 2), ([1, 0, 1, 0], 2), ([2, 0], 2)])
+    def test_targets_share_one_scan(self, targets, refined, monkeypatch):
+        scans, refines = [], []
+        match_vec = oracle._match_vec
+
+        def counted_scan(*args):
+            scans.append(args)
+            return match_vec(*args)
+
+        def counted_refine(*args):
+            refines.append(args)
+            return _refine(*args)
+
+        monkeypatch.setattr(oracle, "_match_vec", counted_scan)
+        monkeypatch.setattr(oracle, "_refine", counted_refine)
+        family = coulomb_family(1.0, -1.0, 1)
+        shots = shoot_eigenvalues(family, self.WINDOW, targets, tol=1e-10)
+        assert (len(scans), len(refines)) == (1, refined)
+        for n, shot in zip(targets, shots):
+            assert abs(shot - coulomb_energy(1.0, -1.0, n, 1)) <= 1e-6
+
+
 class TestInputChecks:
     """Bad arguments fail with ValueError before any march."""
 
@@ -606,6 +636,10 @@ class TestInputChecks:
     def test_node_target_nonnegative(self, family, node_target):
         with pytest.raises(ValueError, match="node_target must be nonnegative"):
             shoot_eigenvalue(family, self.WINDOW, node_target)
+
+    def test_every_node_target_checked_first(self, family):
+        with pytest.raises(ValueError, match="node_target must be nonnegative, got -2"):
+            shoot_eigenvalues(family, self.WINDOW, [0, 1, -2])
 
 
 class TestRadialProblem:
