@@ -35,6 +35,7 @@ from .dirac_iqy import (
 )
 from .errors import ConfigError, EmptyWindow, IoError, NoRoot
 from .limits import coulomb_energy
+from .special_fn import DEGREE_CAP
 
 CSV_HEADER = "symmetry,n_nu,n_spect,kappa,label,H,E,residual,beta_sq,strict_valid"
 _COLUMNS = CSV_HEADER.split(",")
@@ -240,7 +241,7 @@ def _spectrum_row(
         "E": sol.e if sol else None,
         "residual": sol.residual if sol else None,
         "beta_sq": sol.beta_sq if sol else None,
-        "strict_valid": sol.strict_valid if sol else False,
+        "strict_valid": False,  # by the proof in solve_energies
     }
 
 
@@ -278,6 +279,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_wavefunction(cfg: RunConfig) -> int:
     n, kappa, h = cfg.n_min, cfg.kappas[0], cfg.tensor_h[0]
+    if n > DEGREE_CAP:
+        raise ConfigError(f"n = {n} is above the Jacobi degree cap {DEGREE_CAP}")
     params = cfg.physical(h)
     sols = solve_energies(params, n, kappa, cfg.symmetry, window=cfg.window, tol=cfg.tol, mode="relaxed")
     sol = select_branch_root(sols, cfg.symmetry)
@@ -290,7 +293,7 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         "kappa": kappa,
         "H": h,
         "E": sol.e,
-        "strict_valid": sol.strict_valid,
+        "strict_valid": False,  # by the proof in solve_energies
         "nodes": oracle.count_nodes(wf.dominant),
         "back_substitution_residual": first_order_residual(params, wf),
     }
@@ -518,18 +521,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = {"--config", "--n", "--single-kappa", *("--" + key.replace("_", "-") for key in _OPTIONS)}
+
+
 def _join_list_flags(argv: Sequence[str]) -> List[str]:
-    """Fold '--kappa -1,2' into '--kappa=-1,2' so negative values survive
-    argparse's option detection; same for '--window'."""
+    """Fold '--cps -5.5e0' into '--cps=-5.5e0' for every flag that takes a
+    value, so a negative value, in exponent form or a list, survives
+    argparse's option detection as it does in the config file."""
     out: List[str] = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--kappa", "--window") and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS:
+            out[-1] += "=" + token
         else:
             out.append(token)
     return out

@@ -129,7 +129,6 @@ class QuantumNumbers:
     l_tilde: int
     j: float
     label: str
-    n: Optional[int] = None
     n_spect: Optional[int] = None
 
 
@@ -156,7 +155,7 @@ def attach_radial_number(qn: QuantumNumbers, n: int, symmetry: str) -> QuantumNu
     """
     sym = symmetry_record(symmetry)
     n_spect = n - 1 if (sym.sign < 0.0 and qn.kappa > 0) else n
-    return replace(qn, n=n, n_spect=n_spect, label=f"{n_spect}{qn.label}")
+    return replace(qn, n_spect=n_spect, label=f"{n_spect}{qn.label}")
 
 
 def effective_centrifugal(kappa: int, tensor_h: float, symmetry: str) -> float:
@@ -299,18 +298,13 @@ def _rearranged_vec(
 
 @dataclass
 class EnergySolution:
-    """One converged root of the squared quantization condition."""
+    """One converged root of the squared quantization condition; not a
+    root of the printed one, by the proof in ``solve_energies``."""
 
     e: float
-    symmetry: str
-    n: int
-    kappa: int
-    tensor_h: float
     residual: float
     beta_sq: float
-    lambda_or_eta: float
     sign_ok: bool
-    strict_valid: bool
 
 
 def scan_window(
@@ -404,18 +398,14 @@ def solve_batch(
         a = np.where(live & ~left, mid, a)
     centres = np.split(0.5 * (a + b), np.cumsum(counts)[:-1])
     return [
-        _solutions(state, sym, coeff, np.sort(np.concatenate((zero, centre))))
-        for state, coeff, zero, centre in zip(states, coeffs, zeros, centres)
+        _solutions(sym, coeff, np.sort(np.concatenate((zero, centre))))
+        for coeff, zero, centre in zip(coeffs, zeros, centres)
     ]
 
 
-def _solutions(
-    state: State, sym: Symmetry, coeff: Tuple[float, ...], roots: np.ndarray
-) -> List[EnergySolution]:
+def _solutions(sym: Symmetry, coeff: Tuple[float, ...], roots: np.ndarray) -> List[EnergySolution]:
     """One state's roots, ascending, as solutions; pseudospin keeps the
     negative-energy branch."""
-    params, n, kappa = state
-    lam = effective_centrifugal(kappa, params.tensor_h, sym.name)
     solutions = []
     for root in roots.tolist():
         if sym.sign < 0.0 and root >= 0.0:
@@ -423,19 +413,7 @@ def _solutions(
         # Evaluated as a scalar: a scalar ``x ** 2`` rounds like pow(), an
         # array's like x * x, and the printed residual uses the former.
         residual, sign_ok, bsq = _residual_columns(root, *coeff)
-        sol = EnergySolution(
-            e=root,
-            symmetry=sym.name,
-            n=n,
-            kappa=kappa,
-            tensor_h=params.tensor_h,
-            residual=float(residual),
-            beta_sq=bsq,
-            lambda_or_eta=lam,
-            sign_ok=bool(sign_ok),
-            strict_valid=False,  # by the proof in solve_energies
-        )
-        solutions.append(sol)
+        solutions.append(EnergySolution(root, float(residual), bsq, bool(sign_ok)))
     return solutions
 
 
@@ -488,7 +466,6 @@ class RadialWavefunction:
     r_grid: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
-    norm: float
     s_map: np.ndarray
     symmetry: str
     e: float
@@ -541,39 +518,23 @@ def _component_raw(
 
 
 def default_r_grid(
-    params: PhysicalParams,
-    sol: Union[EnergySolution, float],
-    n: int,
-    kappa: int,
-    symmetry: str,
-    points: int = 2001,
+    params: PhysicalParams, sol: Union[EnergySolution, float], kappa: int, symmetry: str
 ) -> np.ndarray:
-    """Grid wide enough that the dominant component decays below 1e-8 of its
-    peak at both ends."""
+    """2001 points wide enough that the dominant component decays below 1e-8
+    of its peak at both ends."""
     e = _energy_of(sol)
     w, q = _shape_exponents(params, e, kappa, symmetry)
     alpha = params.screening
     rate = 2.0 * alpha * w
-    edge_exp = 0.5 + q
-    s_peak = w / (w + edge_exp) if w > 0.0 else 0.5
-    r_peak = -math.log(s_peak) / (2.0 * alpha) if s_peak > 0.0 else 1.0 / (2.0 * alpha)
     if rate <= 0.0:
         raise ExponentNotReal(f"no outer decay: beta^2 = {beta_squared(params, e, symmetry)}")
+    edge_exp = 0.5 + q
+    s_peak = w / (w + edge_exp)
+    r_peak = -math.log(s_peak) / (2.0 * alpha)
     r_hi = r_peak + 20.0 / rate
     u_lo = (1.0e-9) ** (1.0 / edge_exp) * max(1.0 - s_peak, 1.0e-3)
     r_lo = max(-math.log1p(-u_lo) / (2.0 * alpha), 1.0e-12)
-    return np.linspace(r_lo, r_hi, points)
-
-
-def _normalized(component: np.ndarray, r: np.ndarray) -> Tuple[np.ndarray, float]:
-    raw_norm = math.sqrt(float(_trapezoid(component**2, r)))
-    if raw_norm == 0.0:
-        raise ExponentNotReal("component vanished identically on the grid")
-    out = component / raw_norm
-    peak = int(np.argmax(np.abs(out)))
-    if out[peak] < 0.0:
-        out = -out
-    return out, raw_norm
+    return np.linspace(r_lo, r_hi, 2001)
 
 
 def dominant_component(
@@ -587,8 +548,12 @@ def dominant_component(
     """L2-normalized closed-form component: the lower one of a pseudospin
     state, the upper one of a spin state."""
     raw, _ = _component_raw(params, _energy_of(sol), n, kappa, symmetry, r_grid)
-    out, _ = _normalized(raw, r_grid)
-    return out
+    raw_norm = math.sqrt(float(_trapezoid(raw**2, r_grid)))
+    if raw_norm == 0.0:
+        raise ExponentNotReal("component vanished identically on the grid")
+    out = raw / raw_norm
+    peak = int(np.argmax(np.abs(out)))
+    return -out if out[peak] < 0.0 else out
 
 
 def companion_component(
@@ -633,13 +598,11 @@ def assemble_wavefunction(
     """Both radial components on the default grid, dominant one L2-normalized."""
     sym = symmetry_record(symmetry)
     e = _energy_of(sol)
-    r_grid = default_r_grid(params, e, n, kappa, symmetry)
+    r_grid = default_r_grid(params, e, kappa, symmetry)
     dominant = dominant_component(params, e, n, kappa, r_grid, symmetry)
     companion = companion_component(params, e, dominant, r_grid, n, kappa, symmetry)
-    norm = math.sqrt(float(_trapezoid(dominant**2, r_grid)))
     return RadialWavefunction(
         r_grid=r_grid,
-        norm=norm,
         s_map=np.exp(-2.0 * params.screening * r_grid),
         symmetry=symmetry,
         e=e,
@@ -724,44 +687,33 @@ def doublet_splitting_report(
     strengths.
 
     Partners pair at zero tensor strength: kappa' = 1 - kappa (pspin) or
-    -1 - kappa (spin). ``moved_opposite`` compares each member's shift from
-    its own zero-tensor energy; entries without roots propagate as None.
+    -1 - kappa (spin). Every (member, H) state is solved in one
+    ``solve_batch`` call. ``moved_opposite`` compares each member's shift
+    from its own zero-tensor energy, wherever 0.0 sits in ``h_values``;
+    entries without roots propagate as None.
     """
-    symmetry_record(symmetry)
+    hs = [float(h) for h in h_values]
+    members = [(n, kappa, partner_kappa(kappa, 0.0, symmetry)) for n, kappa in pairs]
+    states = [
+        (replace(params, tensor_h=h), n, member)
+        for n, kappa, partner in members for h in hs for member in (kappa, partner)
+    ]
+    roots = [select_branch_root(sols, symmetry) for sols in solve_batch(states, symmetry, mode="relaxed")]
+    energies = iter(sol.e if sol else None for sol in roots)
+    zero = next((i for i, h in enumerate(hs) if h == 0.0), None)
     rows: List[SplittingRow] = []
-    for n, kappa in pairs:
-        partner = partner_kappa(kappa, 0.0, symmetry)
-        baseline: dict = {}
-        for h in h_values:
-            p_h = replace(params, tensor_h=float(h))
-            sol_a = select_branch_root(solve_energies(p_h, n, kappa, symmetry, mode="relaxed"), symmetry)
-            sol_b = select_branch_root(solve_energies(p_h, n, partner, symmetry, mode="relaxed"), symmetry)
-            e_a = sol_a.e if sol_a else None
-            e_b = sol_b.e if sol_b else None
-            if h == 0.0:
-                baseline = {"a": e_a, "b": e_b}
+    for n, kappa, partner in members:
+        pair = [(next(energies), next(energies)) for _ in hs]
+        base_a, base_b = (None, None) if zero is None else pair[zero]
+        for h, (e_a, e_b) in zip(hs, pair):
             split = e_a - e_b if (e_a is not None and e_b is not None) else None
             moved = None
-            if (
-                h != 0.0
-                and None not in (e_a, e_b, baseline.get("a"), baseline.get("b"))
-            ):
-                shift_a = e_a - baseline["a"]
-                shift_b = e_b - baseline["b"]
-                moved = shift_a * shift_b < 0.0
-            rows.append(
-                SplittingRow(
-                    symmetry=symmetry,
-                    n=n,
-                    kappa=kappa,
-                    kappa_partner=partner,
-                    tensor_h=float(h),
-                    e_kappa=e_a,
-                    e_partner=e_b,
-                    split=split,
-                    moved_opposite=moved,
-                )
-            )
+            if h != 0.0 and None not in (e_a, e_b, base_a, base_b):
+                moved = (e_a - base_a) * (e_b - base_b) < 0.0
+            rows.append(SplittingRow(
+                symmetry=symmetry, n=n, kappa=kappa, kappa_partner=partner, tensor_h=h,
+                e_kappa=e_a, e_partner=e_b, split=split, moved_opposite=moved,
+            ))
     return rows
 
 

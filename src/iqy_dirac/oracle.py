@@ -242,18 +242,25 @@ def coulomb_family(
 # Numerov marches
 
 
-def _outward_seed_scalar(family: ProblemFamily, e: float) -> Tuple[float, float]:
-    if family.hard_wall:
-        return 0.0, 1.0
-    index = float(family.nu(e))
-    if not math.isfinite(index):
+def _seed_series(family: ProblemFamily, e):
+    """Power-law index nu and coefficients a1, a2 of the regular small-r seed
+    r^nu (1 + a1 r + a2 r^2), for a float or an array of energies."""
+    index = family.nu(e)
+    if not np.all(np.isfinite(index)):
         raise SeedUndefined(
             "small-r power-law index is complex inside the window; "
             "the regular boundary solution does not exist"
         )
-    v1 = float(family.lin_coeff(e))
+    v1 = family.lin_coeff(e)
     a1 = v1 / (2.0 * index)
-    a2 = (v1 * a1 + float(family.const_coeff(e))) / (4.0 * index + 2.0)
+    a2 = (v1 * a1 + family.const_coeff(e)) / (4.0 * index + 2.0)
+    return index, a1, a2
+
+
+def _outward_seed_scalar(family: ProblemFamily, e: float) -> Tuple[float, float]:
+    if family.hard_wall:
+        return 0.0, 1.0
+    index, a1, a2 = map(float, _seed_series(family, e))
     r0, r1 = family.r[0], family.r[1]
     u0 = r0**index * (1.0 + a1 * r0 + a2 * r0 * r0)
     u1 = r1**index * (1.0 + a1 * r1 + a2 * r1 * r1)
@@ -353,16 +360,7 @@ def _sweep_vec(
     elif family.hard_wall:
         buf[0] = 0.0
     else:
-        index = np.atleast_1d(np.asarray(family.nu(e_vec), dtype=float))
-        if not np.all(np.isfinite(index)):
-            raise SeedUndefined(
-                "small-r power-law index is complex inside the window"
-            )
-        v1 = np.atleast_1d(np.asarray(family.lin_coeff(e_vec), dtype=float))
-        a1 = v1 / (2.0 * index)
-        a2 = (
-            v1 * a1 + np.atleast_1d(np.asarray(family.const_coeff(e_vec), dtype=float))
-        ) / (4.0 * index + 2.0)
+        index, a1, a2 = _seed_series(family, e_vec)
         buf[0] = (
             (r[0] / r[1]) ** index
             * (1.0 + a1 * r[0] + a2 * r[0] * r[0])

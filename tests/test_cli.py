@@ -175,6 +175,18 @@ class TestOptionTable:
         assert run_main(["spectrum", flag(key), "abc"]) == 2
         assert capsys.readouterr().err == f"error: bad value for {key}: 'abc'\n"
 
+    def test_negative_exponent_form_after_a_space(self, tmp_path, capsys):
+        # argparse takes '-5.5e0' for an option unless it is folded into the flag
+        outputs = []
+        for value in (["--cps", "-5.5e0"], ["--cps=-5.5e0"], ["--cps", "-5.5"]):
+            assert run_main(["spectrum", *value]) == 0
+            outputs.append(capsys.readouterr().out)
+        path = write_config(tmp_path, {"cps": "-5.5e0"})
+        assert run_main(["spectrum", "--config", path]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert outputs[0] and all(out == outputs[0] for out in outputs)
+        assert config_from(["spectrum", "--cs", "-1e1"]).c_spin == -10.0
+
     @pytest.mark.parametrize("command", ["spectrum", "reproduce-tables", "crosscheck", "wavefunction"])
     def test_help_lists_every_flag(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -255,18 +267,6 @@ class TestSpectrum:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         energies = {row[3]: row[6] for row in rows}
         assert energies["-1"] == energies["2"]
-
-    def test_threaded_run_identical(self, tmp_path, monkeypatch):
-        argv = [
-            "spectrum", "--symmetry", "pspin", "--n-min", "1", "--n-max", "1",
-            "--kappa", "-2,-1", "--tensor-h", "0",
-        ]
-        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        monkeypatch.setenv("SPECTRA_THREADS", "1")
-        run_main(argv + ["--out", str(serial)])
-        monkeypatch.setenv("SPECTRA_THREADS", "4")
-        run_main(argv + ["--out", str(threaded)])
-        assert serial.read_bytes() == threaded.read_bytes()
 
     def test_strict_valid_false_where_the_naive_sign_rounds(self, capsys):
         # the relaxed root here has a numeric sign flag that reads valid
@@ -461,6 +461,17 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_n_above_degree_cap_exits_2(self, tmp_path, capsys):
+        # n = 65 has a root here; its Jacobi polynomial is above the cap
+        argv = ["wavefunction", "--screening", "0.01", "--single-kappa", "-1"]
+        out = tmp_path / "wf.csv"
+        assert run_main(argv + ["--n", "65", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: n = 65 is above the Jacobi degree cap 64\n"
+        assert not out.exists()
+        assert run_main(argv + ["--n", "64", "--out", str(out)]) == 0
+        assert out.read_text().startswith("# symmetry=pspin n=64 kappa=-1 H=0\n")
 
     @pytest.mark.parametrize("command", ["spectrum", "crosscheck", "wavefunction"])
     @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -115,7 +115,7 @@ class TestQuantumNumbers:
 
     def test_radial_relabeling(self):
         qn = attach_radial_number(quantum_number_map(2), 1, PSPIN)
-        assert qn.n == 1 and qn.n_spect == 0
+        assert qn.n_spect == 0
         assert qn.label == "0d3/2"
         qn = attach_radial_number(quantum_number_map(-1), 1, PSPIN)
         assert qn.n_spect == 1 and qn.label == "1s1/2"
@@ -314,7 +314,7 @@ class TestSolveEnergies:
         )
         assert solve_energies(p, 0, 2, PSPIN, mode="strict") == []
         relaxed = solve_energies(p, 0, 2, PSPIN, mode="relaxed")
-        assert [(sol.sign_ok, sol.strict_valid) for sol in relaxed] == [(True, False)]
+        assert [sol.sign_ok for sol in relaxed] == [True]
 
     @given(**PARAMS)
     @settings(max_examples=200, deadline=None)
@@ -347,7 +347,7 @@ class TestSolveEnergies:
         p = caption_params()
         sols = solve_energies(p, 1, -1, PSPIN, mode="relaxed")
         assert len(sols) >= 2
-        assert all(not s.strict_valid for s in sols)
+        assert all(not s.sign_ok for s in sols)
         assert all(s.beta_sq > 0.0 for s in sols)
         assert all(s.e < 0.0 for s in sols)
         assert sols == sorted(sols, key=lambda s: s.e)
@@ -398,9 +398,8 @@ class TestSolveEnergies:
         p = caption_params(tensor_h=5.0)
         sols = solve_energies(p, 1, -1, PSPIN, mode="relaxed")
         for sol in sols:
-            assert sol.symmetry == PSPIN
-            assert sol.n == 1 and sol.kappa == -1 and sol.tensor_h == 5.0
-            assert sol.lambda_or_eta == effective_centrifugal(-1, 5.0, PSPIN)
+            # the caller holds the state; a solution holds only the root
+            assert [f.name for f in fields(sol)] == ["e", "residual", "beta_sq", "sign_ok"]
             assert sol.beta_sq == pytest.approx(beta_squared(p, sol.e, PSPIN), rel=1e-12)
 
     @given(**PARAMS)
@@ -456,10 +455,7 @@ def reference_solve(p, n, kappa, symmetry, window=None, tol=1e-12):
             continue
         value, sign_ok, bsq = residual(float(root))
         solutions.append(dirac_iqy.EnergySolution(
-            e=float(root), symmetry=symmetry, n=n, kappa=kappa, tensor_h=p.tensor_h,
-            residual=float(value), beta_sq=bsq,
-            lambda_or_eta=effective_centrifugal(kappa, p.tensor_h, symmetry),
-            sign_ok=bool(sign_ok), strict_valid=False,
+            e=float(root), residual=float(value), beta_sq=bsq, sign_ok=bool(sign_ok),
         ))
     return solutions
 
@@ -572,7 +568,70 @@ class TestBranchSelection:
         assert select_branch_root([], PSPIN) is None
 
 
+def reference_splitting(params, symmetry, pairs, h_values):
+    """doublet_splitting_report as written before it was one batch: two
+    solve_energies calls per (pair, H), the zero-tensor baseline filled in
+    during the H loop."""
+    rows = []
+    for n, kappa in pairs:
+        partner = partner_kappa(kappa, 0.0, symmetry)
+        baseline = {}
+        for h in h_values:
+            p_h = replace(params, tensor_h=float(h))
+            sol_a = select_branch_root(solve_energies(p_h, n, kappa, symmetry, mode="relaxed"), symmetry)
+            sol_b = select_branch_root(solve_energies(p_h, n, partner, symmetry, mode="relaxed"), symmetry)
+            e_a = sol_a.e if sol_a else None
+            e_b = sol_b.e if sol_b else None
+            if h == 0.0:
+                baseline = {"a": e_a, "b": e_b}
+            split = e_a - e_b if (e_a is not None and e_b is not None) else None
+            moved = None
+            if h != 0.0 and None not in (e_a, e_b, baseline.get("a"), baseline.get("b")):
+                moved = (e_a - baseline["a"]) * (e_b - baseline["b"]) < 0.0
+            rows.append(dirac_iqy.SplittingRow(
+                symmetry=symmetry, n=n, kappa=kappa, kappa_partner=partner, tensor_h=float(h),
+                e_kappa=e_a, e_partner=e_b, split=split, moved_opposite=moved,
+            ))
+    return rows
+
+
 class TestDoubletSplitting:
+    @pytest.mark.parametrize("h_values", [[0.0, 5.0], [0.0, 0.5, 5.0]])
+    @pytest.mark.parametrize("symmetry,pairs", [
+        (PSPIN, [(1, -1), (1, -2), (0, -1)]),
+        (SPIN, [(0, -2), (1, -1), (0, 1)]),
+    ])
+    def test_rows_match_per_state_loop(self, symmetry, pairs, h_values):
+        p = caption_params()
+        got = doublet_splitting_report(p, symmetry, pairs, h_values)
+        assert repr(got) == repr(reference_splitting(p, symmetry, pairs, h_values))
+
+    def test_one_batch_per_report(self, monkeypatch):
+        calls = {"solve_batch": 0, "solve_energies": 0}
+
+        def counted(name):
+            real = getattr(dirac_iqy, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(dirac_iqy, name, counted(name))
+        rows = doublet_splitting_report(caption_params(), PSPIN, [(1, -1), (1, -2)], [0.0, 0.5, 5.0])
+        assert len(rows) == 6
+        assert calls == {"solve_batch": 1, "solve_energies": 0}
+
+    def test_baseline_after_the_tensor_value(self):
+        # moved_opposite reads the zero-tensor energies wherever 0.0 sits
+        p = caption_params()
+        ascending = doublet_splitting_report(p, PSPIN, [(1, -1), (1, -2)], [0.0, 5.0])
+        descending = doublet_splitting_report(p, PSPIN, [(1, -1), (1, -2)], [5.0, 0.0])
+        five = [r for r in descending if r.tensor_h == 5.0]
+        assert len(five) == 2 and all(r.moved_opposite is not None for r in five)
+        assert five == [r for r in ascending if r.tensor_h == 5.0]
+
     def test_pspin_pattern(self):
         p = caption_params()
         rows = doublet_splitting_report(p, PSPIN, [(1, -1), (1, -2)], [0.0, 5.0])
