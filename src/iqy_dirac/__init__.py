@@ -12,16 +12,12 @@ from .dirac_iqy import (
     assemble_wavefunction,
     attach_radial_number,
     beta_squared,
-    doublet_splitting_report,
     effective_centrifugal,
     energy_residual_raw,
     energy_residual_rearranged,
-    fd_derivative_gap,
     first_order_residual,
     gamma_factor,
     greene_aldrich,
-    lower_component_pspin,
-    lower_from_upper,
     partner_kappa,
     pspin_nu_coefficients,
     quantum_number_map,
@@ -29,27 +25,21 @@ from .dirac_iqy import (
     select_branch_root,
     solve_batch,
     solve_energies,
-    spin_nu_coefficients,
     strict_window,
-    upper_component_spin,
-    upper_from_lower,
 )
-from .limits import MieParams, coulomb_energy, iqy_to_mie, mie_energy_residual
+from .limits import MieParams, coulomb_energy, mie_energy_residual
 from .nu_engine import (
     NUCoefficients,
     NUDerived,
     derive_parameters,
     energy_residual,
     evaluate_nu_wavefunction,
-    select_k,
-    tau_slope,
     wavefunction_parameters,
 )
 from .oracle import (
     ProblemFamily,
     coulomb_family,
     count_nodes,
-    integrate_inward,
     integrate_outward,
     pspin_family,
     scan_eigenvalues,

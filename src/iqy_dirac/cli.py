@@ -5,7 +5,8 @@ Configuration comes from an optional flat key=value file plus flag overrides
 (flags win). Every output is byte-deterministic for a fixed configuration;
 floats are printed with 9 significant digits.
 
-Exit codes: 0 success, 2 configuration error, 3 cross-check failure, 4 I/O.
+Exit codes: 0 success, 2 configuration or input error, 3 cross-check
+failure, 4 I/O.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .dirac_iqy import (
     solve_batch,
     solve_energies,
 )
-from .errors import ConfigError, EmptyWindow, IoError, NoRoot
+from .errors import ConfigError, IoError, IqyDiracError, NoRoot
 from .limits import coulomb_energy
 from .special_fn import DEGREE_CAP
 
@@ -541,12 +542,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(_join_list_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.run(build_config(args))
-    except (ConfigError, EmptyWindow, NoRoot) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except IqyDiracError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # finite inputs whose arithmetic leaves the float range
+        print(f"error: inputs out of floating-point range: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

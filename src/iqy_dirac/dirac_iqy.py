@@ -212,7 +212,6 @@ def nu_coefficients(params: PhysicalParams, kappa: int, e: float, symmetry: str)
 
 
 pspin_nu_coefficients = partial(nu_coefficients, symmetry=PSPIN)
-spin_nu_coefficients = partial(nu_coefficients, symmetry=SPIN)
 
 
 def _centrifugal_radicand(params: PhysicalParams, kappa: int, gamma, sym: Symmetry):
@@ -370,6 +369,8 @@ def solve_batch(
         e_grid = np.empty(0)
         if bound is not None:
             lo, hi = bound
+            if not math.isfinite(hi - lo):
+                raise OverflowError(f"scan window ({lo}, {hi}) is wider than the largest float")
             step = (hi - lo) / 2000.0
             # (hi - lo) / step rounds up to 2001 cells for about one width in
             # eight; kept so the grid, and with it every printed root, stays.
@@ -582,12 +583,6 @@ def companion_component(
     return scale * (draw + sym.sign * (shifted / r_grid) * raw) / denom
 
 
-lower_component_pspin = partial(dominant_component, symmetry=PSPIN)
-upper_component_spin = partial(dominant_component, symmetry=SPIN)
-upper_from_lower = partial(companion_component, symmetry=PSPIN)
-lower_from_upper = partial(companion_component, symmetry=SPIN)
-
-
 def assemble_wavefunction(
     params: PhysicalParams,
     sol: Union[EnergySolution, float],
@@ -612,26 +607,6 @@ def assemble_wavefunction(
     )
 
 
-def _derivatives(params: PhysicalParams, wf: RadialWavefunction) -> Tuple[np.ndarray, np.ndarray]:
-    """Central difference (step 1e-6, at most r[0] / 2) and analytic derivative
-    of the dominant component's closed form, scaled to the dumped norm."""
-    r = wf.r_grid
-    h = min(1.0e-6, 0.5 * float(r[0]))
-    raw0, draw = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r)
-    plus, _ = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r + h)
-    minus, _ = _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, r - h)
-    anchor = int(np.argmax(np.abs(raw0)))
-    scale = wf.dominant[anchor] / raw0[anchor]
-    return scale * (plus - minus) / (2.0 * h), scale * draw
-
-
-def fd_derivative_gap(params: PhysicalParams, wf: RadialWavefunction) -> float:
-    """Largest gap between the analytic derivative of the dominant component
-    and a small-step central difference of its closed form."""
-    d_fd, d_exact = _derivatives(params, wf)
-    return float(np.max(np.abs(d_fd - d_exact)))
-
-
 def first_order_residual(params: PhysicalParams, wf: RadialWavefunction) -> float:
     """Back-substitution check of the coupled first-order pair.
 
@@ -640,16 +615,22 @@ def first_order_residual(params: PhysicalParams, wf: RadialWavefunction) -> floa
     closed form, normalized by the largest magnitude of the companion side.
     """
     sym = symmetry_record(wf.symmetry)
-    d_fd, _ = _derivatives(params, wf)
+    r = wf.r_grid
+    h = min(1.0e-6, 0.5 * float(r[0]))
+    raw, plus, minus = (
+        _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, x)[0] for x in (r, r + h, r - h)
+    )
+    anchor = int(np.argmax(np.abs(raw)))
+    d_fd = wf.dominant[anchor] / raw[anchor] * (plus - minus) / (2.0 * h)
     shifted = wf.kappa + params.tensor_h
-    lhs = d_fd + sym.sign * (shifted / wf.r_grid) * wf.dominant
+    lhs = d_fd + sym.sign * (shifted / r) * wf.dominant
     rhs = sym.sign * _couplings(params, wf.e, sym)[0] * getattr(wf, sym.companion)
     scale_norm = max(float(np.max(np.abs(rhs))), 1.0e-300)
     return float(np.max(np.abs(lhs - rhs))) / scale_norm
 
 
 # ---------------------------------------------------------------------------
-# Doublet splitting and the centrifugal approximation
+# Doublet partners and the centrifugal approximation
 
 
 def partner_kappa(kappa: int, tensor_h: float, symmetry: str) -> int:
@@ -660,61 +641,6 @@ def partner_kappa(kappa: int, tensor_h: float, symmetry: str) -> int:
     if abs(partner - rounded) > 1.0e-9:
         raise ValueError(f"partner kappa {partner} is not an integer")
     return int(rounded)
-
-
-@dataclass
-class SplittingRow:
-    """One doublet entry of the tensor-splitting report."""
-
-    symmetry: str
-    n: int
-    kappa: int
-    kappa_partner: int
-    tensor_h: float
-    e_kappa: Optional[float]
-    e_partner: Optional[float]
-    split: Optional[float]
-    moved_opposite: Optional[bool] = None
-
-
-def doublet_splitting_report(
-    params: PhysicalParams,
-    symmetry: str,
-    pairs: Sequence[Tuple[int, int]],
-    h_values: Sequence[float],
-) -> List[SplittingRow]:
-    """Relaxed-root doublet energies and splittings over a set of tensor
-    strengths.
-
-    Partners pair at zero tensor strength: kappa' = 1 - kappa (pspin) or
-    -1 - kappa (spin). Every (member, H) state is solved in one
-    ``solve_batch`` call. ``moved_opposite`` compares each member's shift
-    from its own zero-tensor energy, wherever 0.0 sits in ``h_values``;
-    entries without roots propagate as None.
-    """
-    hs = [float(h) for h in h_values]
-    members = [(n, kappa, partner_kappa(kappa, 0.0, symmetry)) for n, kappa in pairs]
-    states = [
-        (replace(params, tensor_h=h), n, member)
-        for n, kappa, partner in members for h in hs for member in (kappa, partner)
-    ]
-    roots = [select_branch_root(sols, symmetry) for sols in solve_batch(states, symmetry, mode="relaxed")]
-    energies = iter(sol.e if sol else None for sol in roots)
-    zero = next((i for i, h in enumerate(hs) if h == 0.0), None)
-    rows: List[SplittingRow] = []
-    for n, kappa, partner in members:
-        pair = [(next(energies), next(energies)) for _ in hs]
-        base_a, base_b = (None, None) if zero is None else pair[zero]
-        for h, (e_a, e_b) in zip(hs, pair):
-            split = e_a - e_b if (e_a is not None and e_b is not None) else None
-            moved = None
-            if h != 0.0 and None not in (e_a, e_b, base_a, base_b):
-                moved = (e_a - base_a) * (e_b - base_b) < 0.0
-            rows.append(SplittingRow(
-                symmetry=symmetry, n=n, kappa=kappa, kappa_partner=partner, tensor_h=h,
-                e_kappa=e_a, e_partner=e_b, split=split, moved_opposite=moved,
-            ))
-    return rows
 
 
 def greene_aldrich(r: float, screening: float) -> Tuple[float, float, float]:

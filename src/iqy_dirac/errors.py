@@ -5,10 +5,6 @@ class IqyDiracError(Exception):
     """Base class for all package errors."""
 
 
-class NegativeDiscriminant(IqyDiracError):
-    """The product a8*a9 is negative: no real square-root completion exists."""
-
-
 class NegativeRadicand(IqyDiracError):
     """A square-root argument is negative beyond the floating-point tolerance."""
 

@@ -28,15 +28,6 @@ class MieParams:
             raise ValueError(f"Mie parameters must be finite: {self}")
 
 
-def iqy_to_mie(v0: float, screening: float) -> MieParams:
-    """Second-order expansion of the screened inverse-square potential."""
-    if v0 < 0.0:
-        raise ValueError(f"v0 must be nonnegative, got {v0}")
-    if not screening > 0.0:
-        raise ValueError(f"screening must be positive, got {screening}")
-    return MieParams(a=-v0, b=-2.0 * screening * v0, c=-2.0 * screening**2 * v0)
-
-
 def mie_energy_residual(
     mass: float, c_pspin: float, mie: MieParams, n: int, kappa: int, e: float
 ) -> float:

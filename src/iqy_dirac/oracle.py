@@ -100,15 +100,9 @@ class ProblemFamily:
         self._c0 = np.asarray(self.c0_fn(self.r), dtype=float)
         self._c1 = np.asarray(self.c1_fn(self.r), dtype=float)
 
-    def effective_potential(self, e: float, r=None) -> np.ndarray:
-        """W(r, e); on the family's grid, from the cached coefficients, when
-        ``r`` is None."""
-        if r is None:
-            c0, c1 = self._c0, self._c1
-        else:
-            r = np.asarray(r, dtype=float)
-            c0, c1 = self.c0_fn(r), self.c1_fn(r)
-        return c0 + float(self.gamma(e)) * c1 + float(self.beta_sq(e))
+    def effective_potential(self, e: float) -> np.ndarray:
+        """W(r, e) on the family's grid, from the cached coefficients."""
+        return self._c0 + float(self.gamma(e)) * self._c1 + float(self.beta_sq(e))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +424,8 @@ def _match_scalar(family: ProblemFamily, e: float, m_idx: int) -> Tuple[float, i
 
 
 def _match_index(family: ProblemFamily, window: Tuple[float, float]) -> Optional[int]:
-    """Grid index of the deepest effective-potential minimum over the window.
+    """Grid index of the deepest effective-potential minimum over the window,
+    in [4, len(r) - 6] so the five-point matching window fits inside the grid.
 
     None when W never turns negative: no classically allowed region, hence
     no eigenvalue, at any sampled energy.
@@ -486,7 +481,6 @@ def _scan(
     window: Tuple[float, float],
     tol: float,
     scan_points: int,
-    match_index: Optional[int],
 ) -> Optional[_Scan]:
     """Checks the arguments, then marches the padded energy grid in one
     batch; None when W never turns negative."""
@@ -497,10 +491,9 @@ def _scan(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if scan_points < 2:
         raise ValueError(f"scan_points must be at least 2, got {scan_points}")
-    m_idx = match_index if match_index is not None else _match_index(family, window)
+    m_idx = _match_index(family, window)
     if m_idx is None:
         return None
-    m_idx = min(max(m_idx, 4), len(family.r) - 6)
     pad = (hi - lo) * 1.0e-9
     e_grid = np.linspace(lo + pad, hi - pad, scan_points)
     fvals, nodes = _match_vec(family, e_grid, m_idx)
@@ -522,15 +515,13 @@ def scan_eigenvalues(
     window: Tuple[float, float],
     tol: float = 1.0e-10,
     scan_points: int = _SCAN_POINTS,
-    match_index: Optional[int] = None,
 ) -> List[Tuple[float, int]]:
     """All shooting eigenvalues in the window as (energy, node count) pairs.
 
     Empty when the effective potential never opens a classically allowed
     region, or when the matching function has no zero crossing.
-    ``match_index`` overrides the automatic match-point choice.
     """
-    scan = _scan(family, window, tol, scan_points, match_index)
+    scan = _scan(family, window, tol, scan_points)
     if scan is None:
         return []
     return [_cell_root(family, scan, i, tol) for i in scan.cells]
@@ -541,7 +532,6 @@ def shoot_eigenvalues(
     window: Tuple[float, float],
     node_targets: Sequence[int],
     tol: float = 1.0e-10,
-    match_index: Optional[int] = None,
 ) -> List[float]:
     """For each requested number of interior nodes, the eigenvalue in the
     window whose eigenfunction has it; one batched scan serves them all.
@@ -557,7 +547,7 @@ def shoot_eigenvalues(
     for node_target in node_targets:
         if node_target < 0:
             raise ValueError(f"node_target must be nonnegative, got {node_target}")
-    scan = _scan(family, window, tol, _SCAN_POINTS, match_index)
+    scan = _scan(family, window, tol, _SCAN_POINTS)
     if scan is None or not len(scan.cells):
         raise NoRootInWindow(
             f"no matching-function zero in ({window[0]}, {window[1]}) for {family.label}"
@@ -587,27 +577,20 @@ def shoot_eigenvalue(
     window: Tuple[float, float],
     node_target: int,
     tol: float = 1.0e-10,
-    match_index: Optional[int] = None,
 ) -> float:
     """Eigenvalue in the window whose eigenfunction has the requested number
     of interior nodes: ``shoot_eigenvalues`` of one target."""
-    return shoot_eigenvalues(family, window, [node_target], tol, match_index)[0]
+    return shoot_eigenvalues(family, window, [node_target], tol)[0]
 
 
 # ---------------------------------------------------------------------------
-# Single-energy integrations and node counting
+# Single-energy integration and node counting
 
 
 def integrate_outward(family: ProblemFamily, e: float) -> Tuple[np.ndarray, np.ndarray]:
     """Regular solution marched from the inner boundary; arbitrary scale."""
     samples, _ = _march(family, e, True, len(family.r) - 1, len(family.r))
     return family.r, np.array(samples)
-
-
-def integrate_inward(family: ProblemFamily, e: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Decaying solution marched from the outer boundary; arbitrary scale."""
-    samples, _ = _march(family, e, False, len(family.r) - 1, len(family.r))
-    return family.r, np.array(samples[::-1])
 
 
 def count_nodes(samples: Sequence[float]) -> int:

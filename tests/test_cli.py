@@ -440,6 +440,29 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crosscheck", "--screening", "1e-300"],
+            ["spectrum", "--screening", "1e300"],
+            ["crosscheck", "--screening", "1e200", "--n-max", "0"],
+            ["wavefunction", "--tensor-h", "1e308"],
+            ["spectrum", "--mass", "1e308"],
+            ["wavefunction", "--mass", "1e200"],
+        ],
+        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
+    )
+    def test_extreme_finite_input_exits_2(self, argv, tmp_path, capsys):
+        # finite inputs whose arithmetic overflows, underflows to a zero
+        # divisor or rounds beta^2 to -0.0
+        out = tmp_path / "out.txt"
+        code = run_main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["spectrum", "crosscheck", "wavefunction"])
     def test_window_outside_strict_domain_exits_2(self, command, tmp_path, capsys):
         out = tmp_path / "out.txt"

@@ -13,16 +13,15 @@ from iqy_dirac.dirac_iqy import (
     SPIN,
     PhysicalParams,
     beta_squared,
+    dominant_component,
     effective_centrifugal,
     energy_residual_raw,
     energy_residual_rearranged,
     gamma_factor,
     greene_aldrich,
-    lower_component_pspin,
+    nu_coefficients,
     pspin_nu_coefficients,
     scan_window,
-    spin_nu_coefficients,
-    upper_component_spin,
 )
 from iqy_dirac.nu_engine import (
     NUCoefficients,
@@ -59,7 +58,7 @@ class TestResidualRoutes:
         p = caption_params()
         lo, hi = scan_window(p, 0, kappa, SPIN)
         for e in np.linspace(lo, hi, 37):
-            c = spin_nu_coefficients(p, kappa, float(e))
+            c = nu_coefficients(p, kappa, float(e), SPIN)
             via_engine = energy_residual(derive_parameters(c), c, 0)
             via_physics = energy_residual_raw(p, 0, kappa, float(e), SPIN)
             assert via_engine == pytest.approx(via_physics, rel=1e-10, abs=1e-8)
@@ -93,7 +92,7 @@ class TestComponentRoutes:
         p = caption_params()
         e, n, kappa = -3.1, 1, -1
         r = np.linspace(0.5, 40.0, 101)
-        g = lower_component_pspin(p, e, n, kappa, r)
+        g = dominant_component(p, e, n, kappa, r, PSPIN)
         c = pspin_nu_coefficients(p, kappa, e)
         d = derive_parameters(c)
         composite = np.array(
@@ -110,8 +109,8 @@ class TestComponentRoutes:
         p = caption_params()
         e, n, kappa = 2.2, 1, -2
         r = np.linspace(0.5, 40.0, 101)
-        f = upper_component_spin(p, e, n, kappa, r)
-        c = spin_nu_coefficients(p, kappa, e)
+        f = dominant_component(p, e, n, kappa, r, SPIN)
+        c = nu_coefficients(p, kappa, e, SPIN)
         d = derive_parameters(c)
         composite = np.array(
             [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iqy_dirac import dirac_iqy
+from iqy_dirac import cli, dirac_iqy
 from iqy_dirac.dirac_iqy import (
     PSPIN,
     SPIN,
@@ -15,12 +15,12 @@ from iqy_dirac.dirac_iqy import (
     _rearranged_vec,
     attach_radial_number,
     beta_squared,
-    doublet_splitting_report,
     effective_centrifugal,
     energy_residual_raw,
     energy_residual_rearranged,
     gamma_factor,
     greene_aldrich,
+    nu_coefficients,
     partner_kappa,
     pspin_nu_coefficients,
     quantum_number_map,
@@ -28,7 +28,6 @@ from iqy_dirac.dirac_iqy import (
     select_branch_root,
     solve_batch,
     solve_energies,
-    spin_nu_coefficients,
     strict_window,
 )
 from iqy_dirac.errors import EmptyWindow, NegativeRadicand, NonpositiveR, ZeroKappa
@@ -184,7 +183,7 @@ class TestCoefficientMaps:
     def test_spin_partner_coefficients_identical(self):
         p = caption_params()
         for e in (1.5, 2.5, 3.1):
-            assert spin_nu_coefficients(p, -2, e) == spin_nu_coefficients(p, 1, e)
+            assert nu_coefficients(p, -2, e, SPIN) == nu_coefficients(p, 1, e, SPIN)
 
     def test_spin_threshold(self):
         p = caption_params()
@@ -568,49 +567,46 @@ class TestBranchSelection:
         assert select_branch_root([], PSPIN) is None
 
 
-def reference_splitting(params, symmetry, pairs, h_values):
-    """doublet_splitting_report as written before it was one batch: two
-    solve_energies calls per (pair, H), the zero-tensor baseline filled in
-    during the H loop."""
-    rows = []
-    for n, kappa in pairs:
-        partner = partner_kappa(kappa, 0.0, symmetry)
-        baseline = {}
-        for h in h_values:
-            p_h = replace(params, tensor_h=float(h))
-            sol_a = select_branch_root(solve_energies(p_h, n, kappa, symmetry, mode="relaxed"), symmetry)
-            sol_b = select_branch_root(solve_energies(p_h, n, partner, symmetry, mode="relaxed"), symmetry)
-            e_a = sol_a.e if sol_a else None
-            e_b = sol_b.e if sol_b else None
-            if h == 0.0:
-                baseline = {"a": e_a, "b": e_b}
-            split = e_a - e_b if (e_a is not None and e_b is not None) else None
-            moved = None
-            if h != 0.0 and None not in (e_a, e_b, baseline.get("a"), baseline.get("b")):
-                moved = (e_a - baseline["a"]) * (e_b - baseline["b"]) < 0.0
-            rows.append(dirac_iqy.SplittingRow(
-                symmetry=symmetry, n=n, kappa=kappa, kappa_partner=partner, tensor_h=float(h),
-                e_kappa=e_a, e_partner=e_b, split=split, moved_opposite=moved,
-            ))
-    return rows
+def doublet_states(params, symmetry, pairs, h_values):
+    """Both members of each zero-tensor doublet (n, kappa) at every H."""
+    return [
+        (replace(params, tensor_h=float(h)), n, member)
+        for n, kappa in pairs
+        for h in h_values
+        for member in (kappa, partner_kappa(kappa, 0.0, symmetry))
+    ]
+
+
+def doublet_roots(params, symmetry, pairs, h_values):
+    """Branch-convention root of every doublet member, keyed (n, kappa, H),
+    from one ``solve_batch`` call."""
+    states = doublet_states(params, symmetry, pairs, h_values)
+    solved = solve_batch(states, symmetry, mode="relaxed")
+    return {
+        (n, kappa, p.tensor_h): select_branch_root(sols, symmetry)
+        for (p, n, kappa), sols in zip(states, solved)
+    }
 
 
 class TestDoubletSplitting:
+    """The paper's headline: partners degenerate at H = 0 split at H > 0."""
+
     @pytest.mark.parametrize("h_values", [[0.0, 5.0], [0.0, 0.5, 5.0]])
     @pytest.mark.parametrize("symmetry,pairs", [
         (PSPIN, [(1, -1), (1, -2), (0, -1)]),
         (SPIN, [(0, -2), (1, -1), (0, 1)]),
     ])
     def test_rows_match_per_state_loop(self, symmetry, pairs, h_values):
-        p = caption_params()
-        got = doublet_splitting_report(p, symmetry, pairs, h_values)
-        assert repr(got) == repr(reference_splitting(p, symmetry, pairs, h_values))
+        states = doublet_states(caption_params(), symmetry, pairs, h_values)
+        want = [solve_energies(p, n, kappa, symmetry, mode="relaxed") for p, n, kappa in states]
+        assert repr(solve_batch(states, symmetry, mode="relaxed")) == repr(want)
 
-    def test_one_batch_per_report(self, monkeypatch):
+    def test_one_batch_per_report(self, monkeypatch, capsys):
+        # spectrum prints both members of the doublet at every H from one batch
         calls = {"solve_batch": 0, "solve_energies": 0}
 
         def counted(name):
-            real = getattr(dirac_iqy, name)
+            real = getattr(cli, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -618,40 +614,38 @@ class TestDoubletSplitting:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(dirac_iqy, name, counted(name))
-        rows = doublet_splitting_report(caption_params(), PSPIN, [(1, -1), (1, -2)], [0.0, 0.5, 5.0])
-        assert len(rows) == 6
+            monkeypatch.setattr(cli, name, counted(name))
+        assert cli.main(["spectrum", "--kappa", "-1,2", "--tensor-h", "0,0.5,5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 2 * 3
         assert calls == {"solve_batch": 1, "solve_energies": 0}
 
     def test_baseline_after_the_tensor_value(self):
-        # moved_opposite reads the zero-tensor energies wherever 0.0 sits
+        # a member's root does not depend on where 0.0 sits among the H values
         p = caption_params()
-        ascending = doublet_splitting_report(p, PSPIN, [(1, -1), (1, -2)], [0.0, 5.0])
-        descending = doublet_splitting_report(p, PSPIN, [(1, -1), (1, -2)], [5.0, 0.0])
-        five = [r for r in descending if r.tensor_h == 5.0]
-        assert len(five) == 2 and all(r.moved_opposite is not None for r in five)
-        assert five == [r for r in ascending if r.tensor_h == 5.0]
+        ascending = doublet_roots(p, PSPIN, [(1, -1), (1, -2)], [0.0, 5.0])
+        descending = doublet_roots(p, PSPIN, [(1, -1), (1, -2)], [5.0, 0.0])
+        assert None not in ascending.values()
+        assert descending == ascending
+
+    @staticmethod
+    def _check_pattern(symmetry, pairs, aligned_lower):
+        roots = doublet_roots(caption_params(), symmetry, pairs, [0.0, 5.0])
+        assert None not in roots.values()
+        for n, kappa in pairs:
+            partner = partner_kappa(kappa, 0.0, symmetry)
+            e = {(k, h): roots[n, k, h].e for k in (kappa, partner) for h in (0.0, 5.0)}
+            assert e[kappa, 0.0] == pytest.approx(e[partner, 0.0], abs=1e-9)
+            assert abs(e[kappa, 5.0] - e[partner, 5.0]) > 1e-4
+            # published pattern at H = 5 for the aligned (kappa < 0) member
+            assert (e[kappa, 5.0] < e[partner, 5.0]) == aligned_lower
 
     def test_pspin_pattern(self):
-        p = caption_params()
-        rows = doublet_splitting_report(p, PSPIN, [(1, -1), (1, -2)], [0.0, 5.0])
-        by_key = {(r.kappa, r.tensor_h): r for r in rows}
-        zero = by_key[(-1, 0.0)]
-        assert zero.split == pytest.approx(0.0, abs=1e-9)
-        five = by_key[(-1, 5.0)]
-        assert five.split is not None and abs(five.split) > 1e-4
-        # published pattern: the aligned (kappa < 0) member sits lower
-        assert five.e_kappa < five.e_partner
-        assert by_key[(-2, 5.0)].e_kappa < by_key[(-2, 5.0)].e_partner
+        # the aligned member sits lower
+        self._check_pattern(PSPIN, [(1, -1), (1, -2)], aligned_lower=True)
 
     def test_spin_pattern(self):
-        p = caption_params()
-        rows = doublet_splitting_report(p, SPIN, [(0, -2)], [0.0, 5.0])
-        by_key = {(r.kappa, r.tensor_h): r for r in rows}
-        assert by_key[(-2, 0.0)].split == pytest.approx(0.0, abs=1e-9)
-        five = by_key[(-2, 5.0)]
-        # published pattern: the aligned (kappa < 0) member sits higher
-        assert five.e_kappa > five.e_partner
+        # the aligned member sits higher
+        self._check_pattern(SPIN, [(0, -2)], aligned_lower=False)
 
     def test_partner_map(self):
         assert partner_kappa(-1, 0.0, PSPIN) == 2

