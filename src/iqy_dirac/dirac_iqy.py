@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (
+    DomainError,
     EmptyWindow,
     EnergyAtThreshold,
     ExponentNotReal,
@@ -340,6 +341,10 @@ def scan_window(
 State = Tuple[PhysicalParams, int, int]  # (params, n, kappa)
 
 
+# Inputs far outside the physical range overflow in the residual. The CLI
+# keeps stderr to its one error line, so the warnings are silenced once per
+# solve, not at every bisection step.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_batch(
     states: Sequence[State],
     symmetry: str,
@@ -534,7 +539,11 @@ def default_r_grid(
     r_peak = -math.log(s_peak) / (2.0 * alpha)
     r_hi = r_peak + 20.0 / rate
     u_lo = (1.0e-9) ** (1.0 / edge_exp) * max(1.0 - s_peak, 1.0e-3)
+    if not u_lo < 1.0:
+        raise DomainError(f"no finite grid start: 1 - exp(-2 alpha r_lo) = {u_lo}")
     r_lo = max(-math.log1p(-u_lo) / (2.0 * alpha), 1.0e-12)
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
+        raise DomainError(f"grid ends ({r_lo}, {r_hi}) are not finite")
     return np.linspace(r_lo, r_hi, 2001)
 
 

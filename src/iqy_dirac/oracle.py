@@ -21,6 +21,15 @@ plain-float march for every row it visits, the batched march in chunks of
 64 grid rows. The loops then only read them, and give the bits of a loop
 that rebuilds W at every step.
 
+Rescaling keeps a march inside the float range. The plain-float march tests
+each sample as it goes. The batched march steps a whole chunk first and
+then tests the chunk's rows in one pass; only when some row has a column
+past 1e100 or below 1e-100 (and not zero) does it rescale the first such
+row, as a per-row test would have, and march the chunk again from the next
+row. The rows before it needed no rescale, and a rescale by a positive
+factor leaves the signs already counted as nodes unchanged, so the result
+is the per-row test's, bit for bit.
+
 A scan marches a grid of trial energies in one batch and refines each
 sign change of the matching function with the plain-float march. Shooting
 for one state uses the node counts the batched march already has: it
@@ -328,9 +337,18 @@ def _sweep_vec(
     ``base + k``, ``_CHUNK_ROWS`` rows at a time, each chunk repeating the
     last two rows of the one before. A chunk builds its step coefficients,
     with the factor 2 folded into ``a`` (doubling is exact), before it steps
-    in place. Nodes are counted from the sign changes between the buffer's
-    rows at the end of each chunk, and before any rescale, which can turn an
-    infinite sample into NaN and its neighbour into zero.
+    in place.
+
+    A chunk is marched to its end before its rows below the matching window
+    are tested for rescaling, all in one pass. If a row has a column that
+    needs it, the first such row is rescaled and the chunk is marched again
+    from the row after it; the rows marched past it are discarded, so their
+    overflow warnings are silenced. A NaN column never needs a rescale, and
+    a row where no column does gets a factor of 1 in every column, so
+    skipping it changes no bit. Nodes are counted from the sign changes
+    between the buffer's rows at the end of each chunk, and before any
+    rescale, which can turn an infinite sample into NaN and its neighbour
+    into zero.
     """
     r = family.r
     h = family.step
@@ -362,7 +380,7 @@ def _sweep_vec(
         )
     lo_i, hi_i = m_idx - 2, m_idx + 2
     u = list(buf)
-    prod, mag = np.empty(cols), np.empty(cols)
+    prod = np.empty(cols)
     for base in range(0, hi_i - 1, _CHUNK_ROWS - 2):
         if base:
             buf[:2] = buf[-2:]
@@ -370,25 +388,38 @@ def _sweep_vec(
         rows = slice(base, base + stop)
         a, b = _step_coeffs(c0[rows, None], c1[rows, None], g1, g2, h2)
         a *= 2.0
+        # rows from ``first_window`` on are the matching window, never rescaled
+        first_window = min(max(2, lo_i - base), stop)
         # the sign changes between rows k - 1 and k <= counted are in nodes
         counted = 1
-        for k in range(2, stop):
-            np.multiply(u[k - 1], a[k - 1], out=u[k])
-            np.multiply(u[k - 2], b[k - 2], out=prod)
-            np.subtract(u[k], prod, out=u[k])
-            np.divide(u[k], b[k], out=u[k])
-            if base + k >= lo_i:
-                window[base + k - lo_i] = u[k]
-                continue
-            np.abs(u[k], out=mag)
-            # NaN fails both comparisons and takes the exact path
-            if not (mag.max() <= _OVERFLOW_LIMIT and mag.min() >= _UNDERFLOW_LIMIT):
-                nodes += _sign_changes(buf, counted, k)
-                counted = k
-                needs = (mag > _OVERFLOW_LIMIT) | ((mag < _UNDERFLOW_LIMIT) & (mag > 0.0))
-                factor = np.where(needs, 1.0 / np.maximum(mag, 1.0e-290), 1.0)
-                u[k - 1] *= factor
-                u[k] *= factor
+        k = 2
+        while True:
+            # rows past one that needs a rescale are discarded and may overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(k, stop):
+                    np.multiply(u[j - 1], a[j - 1], out=u[j])
+                    np.multiply(u[j - 2], b[j - 2], out=prod)
+                    np.subtract(u[j], prod, out=u[j])
+                    np.divide(u[j], b[j], out=u[j])
+            if k >= first_window:
+                break
+            mag = np.abs(buf[k:first_window])
+            if mag.max() <= _OVERFLOW_LIMIT and mag.min() >= _UNDERFLOW_LIMIT:
+                break
+            # NaN fails every comparison, so a NaN column never needs a rescale
+            needs = (mag > _OVERFLOW_LIMIT) | ((mag < _UNDERFLOW_LIMIT) & (mag > 0.0))
+            flagged = np.flatnonzero(needs.any(axis=1))
+            if not flagged.size:
+                break
+            row = flagged[0]
+            k += row
+            nodes += _sign_changes(buf, counted, k)
+            counted = k
+            factor = np.where(needs[row], 1.0 / np.maximum(mag[row], 1.0e-290), 1.0)
+            u[k - 1] *= factor
+            u[k] *= factor
+            k += 1
+        window[base + first_window - lo_i : base + stop - lo_i] = buf[first_window:stop]
         nodes += _sign_changes(buf, counted, min(stop - 1, m_idx - base))
     return (window if outward else window[::-1]), nodes
 

@@ -449,12 +449,15 @@ class TestExitCodes:
             ["wavefunction", "--tensor-h", "1e308"],
             ["spectrum", "--mass", "1e308"],
             ["wavefunction", "--mass", "1e200"],
+            ["wavefunction", "--v0", "1e308"],
         ],
         ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_finite_input_exits_2(self, argv, tmp_path, capsys):
         # finite inputs whose arithmetic overflows, underflows to a zero
-        # divisor or rounds beta^2 to -0.0
+        # divisor, rounds beta^2 to -0.0 or puts the grid start at r = inf;
+        # a numpy warning on the way would be a second stderr line
         out = tmp_path / "out.txt"
         code = run_main([*argv, "--out", str(out)])
         err = capsys.readouterr().err
@@ -462,6 +465,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_residual_warns_nothing(self, tmp_path, capsys):
+        # gamma * V0 overflows in the scan and the bisection; the rows this
+        # prints are not roots (the cancellation at huge V0), but stderr
+        # stays empty
+        out = tmp_path / "out.csv"
+        code = run_main(["spectrum", "--v0", "1e308", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "crosscheck", "wavefunction"])
     def test_window_outside_strict_domain_exits_2(self, command, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,9 +314,10 @@ def _reference_march(family, e, outward, stop, keep):
     return kept, nodes
 
 
-def _reference_sweep(family, e_vec, m_idx, outward):
+def _reference_sweep(family, e_vec, m_idx, outward, rescales=None):
     """The batched march as first written: W rebuilt and the rescale mask
-    taken at every step."""
+    taken at every step. A ``rescales`` list receives the march row and the
+    columns of each rescale."""
     r, h = family.r, family.step
     g1 = np.atleast_1d(np.asarray(family.gamma(e_vec), dtype=float))
     g2 = np.atleast_1d(np.asarray(family.beta_sq(e_vec), dtype=float))
@@ -358,6 +360,8 @@ def _reference_sweep(family, e_vec, m_idx, outward):
             mag = np.abs(u_new)
             needs = (mag > _OVERFLOW_LIMIT) | ((mag < _UNDERFLOW_LIMIT) & (mag > 0.0))
             if np.any(needs):
+                if rescales is not None:
+                    rescales.append((i, np.flatnonzero(needs).tolist()))
                 factor = np.where(needs, 1.0 / np.maximum(mag, 1.0e-290), 1.0)
                 u_curr *= factor
                 u_new *= factor
@@ -497,6 +501,98 @@ class TestReferenceLoop:
             ref_window, ref_nodes = _reference_sweep(family, energies, 100, True)
         self._same(window, ref_window)
         self._same(nodes, ref_nodes)
+
+
+def _chunk(row):
+    """Chunk of the batched march that computes march row ``row``: each chunk
+    of 64 rows starts with the last two rows of the one before."""
+    return (row - 2) // 62
+
+
+class TestChunkedRescale:
+    """The batched march tests a whole chunk for rescaling at once and
+    re-marches it after the first row that needs one; it must give the bits
+    of the reference loop, which tests every row. In ``_sqrt_energy_family``
+    the energies near 1e4 first pass 1e100 at march rows 211 to 251, in the
+    fourth and fifth chunks, and again about every 230 rows."""
+
+    @staticmethod
+    def _check(family, energies, m_idx, outward):
+        """Window of the batched march, checked against the reference, and
+        each column's first rescale row in the reference (None if none)."""
+        rescales = []
+        ref_window, ref_nodes = _reference_sweep(family, energies, m_idx, outward, rescales)
+        window, nodes = _sweep_vec(family, energies, m_idx, outward)
+        TestReferenceLoop._same(window, ref_window)
+        TestReferenceLoop._same(nodes, ref_nodes)
+        first = {}
+        for row, cols in rescales:
+            for col in cols:
+                first.setdefault(col, row)
+        return window, [first.get(col) for col in range(len(energies))]
+
+    @staticmethod
+    def _marches(family):
+        """(outward, m_idx) of a full-length march in each direction."""
+        last = len(family.r) - 1
+        return ((True, last - 5), (False, 5))
+
+    def test_columns_rescale_at_different_rows_of_one_chunk(self):
+        family = _sqrt_energy_family()
+        for outward, m_idx in self._marches(family):
+            _, first = self._check(family, np.array([1.0e4, 1.04e4, 1.0]), m_idx, outward)
+            assert first[0] != first[1] and _chunk(first[0]) == _chunk(first[1])
+            assert first[2] is None
+
+    @pytest.mark.parametrize("energy, row", [(8560.0, 250), (8630.0, 249)])
+    def test_first_rescale_at_chunk_seam(self, energy, row):
+        # row 250 is the first row the fifth chunk computes, 249 the last
+        # row of the fourth
+        assert _chunk(250) == _chunk(249) + 1 == 4
+        family = _sqrt_energy_family()
+        for outward, m_idx in self._marches(family):
+            _, first = self._check(family, np.array([energy, 1.0]), m_idx, outward)
+            assert first == [row, None]
+
+    @pytest.mark.parametrize("offset", [-2, 0, 2])
+    def test_window_rows_never_rescaled(self, offset):
+        # E = 1e4 first passes 1e100 at row 231, inside the matching window
+        # of a match at row 231 + offset; E = 1.2e4 rescales before it
+        family = _sqrt_energy_family()
+        last = len(family.r) - 1
+        for outward in (True, False):
+            m_idx = 231 + offset if outward else last - 231 - offset
+            window, first = self._check(family, np.array([1.0e4, 1.2e4]), m_idx, outward)
+            assert first[0] is None and first[1] is not None
+            assert np.abs(window[:, 0]).max() > _OVERFLOW_LIMIT
+
+    def test_nan_column_beside_rescaling_columns(self):
+        family = _sqrt_energy_family(nan_above=1.5e4)
+        energies = np.array([1.0e4, 2.0e4, 1.04e4, 3.0e4])
+        for outward, m_idx in self._marches(family):
+            window, first = self._check(family, energies, m_idx, outward)
+            assert first[0] is not None and first[2] is not None
+            assert first[1] is None and first[3] is None
+            assert np.isnan(window[:, [1, 3]]).all()
+
+    def test_discarded_rows_warn_nothing(self):
+        p = caption_params(screening=0.03)
+        cases = [
+            (coulomb_family(1.0, -1.0, kappa), (-0.999, -0.02))
+            for kappa in sorted({kappa for _, kappa in COULOMB_ANCHOR_STATES})
+        ]
+        # the inward march rescales at a few hundred rows
+        cases.append((spin_family(p, -2), scan_window(p, 0, -2, SPIN)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family, window in cases:
+                _match_vec(family, np.linspace(*window, 240), _match_index(family, window))
+            # h^2 W / 12 = 0.999 for E = 119880, so each step grows about
+            # 1e4-fold and rows marched past a rescale overflow in the chunk
+            family = _sqrt_energy_family()
+            for outward, m_idx in self._marches(family):
+                _, first = self._check(family, np.array([119880.0, 1.0e4]), m_idx, outward)
+                assert first[0] < first[1]
 
 
 def _reference_scan(family, window, tol=1e-10, scan_points=240):
