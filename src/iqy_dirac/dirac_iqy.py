@@ -28,6 +28,9 @@ state. Every root found is the "relaxed" set. The "strict" set, roots of
 the printed condition with principal square roots, is empty for every
 parameter set (proof in ``solve_energies``), so strict mode returns it
 without scanning.
+
+``assemble_wavefunction`` builds a dump's grid and both components from one
+evaluation of the closed form s^w (1-s)^(1/2+q) P_n^(2w,2q)(1-2s).
 """
 
 from __future__ import annotations
@@ -319,6 +322,8 @@ def scan_window(
 
     The cap is C - s*M + (lambda - 1/2)^2 / V0. For pseudospin C - s*M is
     the upper end of the strict domain, so the cap never binds there."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     lo, hi = strict_window(params, symmetry)
     if params.v0 > 0.0:
         lam = effective_centrifugal(kappa, params.tensor_h, symmetry)
@@ -328,6 +333,8 @@ def scan_window(
         hi = min(hi, far + (lam - 0.5) ** 2 / params.v0)
     if window is not None:
         w_lo, w_hi = window
+        if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
+            raise ValueError(f"window must be finite, got {window}")
         if w_hi <= lo or w_lo >= hi:
             raise EmptyWindow(f"window ({w_lo}, {w_hi}) outside strict domain ({lo}, {hi})")
         lo, hi = max(lo, w_lo), min(hi, w_hi)
@@ -362,8 +369,8 @@ def solve_batch(
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sym = symmetry_record(symmetry)
     bounds = [scan_window(params, n, kappa, symmetry, window) for params, n, kappa in states]
     if mode == "strict":
@@ -484,10 +491,6 @@ class RadialWavefunction:
         return getattr(self, symmetry_record(self.symmetry).dominant)
 
 
-def _energy_of(sol: Union[EnergySolution, float]) -> float:
-    return sol.e if isinstance(sol, EnergySolution) else float(sol)
-
-
 def _shape_exponents(
     params: PhysicalParams, e: float, kappa: int, symmetry: str
 ) -> Tuple[float, float]:
@@ -504,12 +507,11 @@ def _shape_exponents(
     return w, q
 
 
-def _component_raw(
-    params: PhysicalParams, e: float, n: int, kappa: int, symmetry: str, r: np.ndarray
+def _closed_form(
+    alpha: float, w: float, q: float, n: int, r: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Unnormalized dominant component and its exact radial derivative."""
-    alpha = params.screening
-    w, q = _shape_exponents(params, e, kappa, symmetry)
+    """Unnormalized closed form s^w (1-s)^(1/2+q) P_n^(2w,2q)(1-2s) at
+    s = exp(-2*alpha*r), and its exact radial derivative."""
     s = np.exp(-2.0 * alpha * r)
     one_minus = 1.0 - s
     x = 1.0 - 2.0 * s
@@ -523,17 +525,11 @@ def _component_raw(
     return value, dvalue_dr
 
 
-def default_r_grid(
-    params: PhysicalParams, sol: Union[EnergySolution, float], kappa: int, symmetry: str
-) -> np.ndarray:
-    """2001 points wide enough that the dominant component decays below 1e-8
-    of its peak at both ends."""
-    e = _energy_of(sol)
-    w, q = _shape_exponents(params, e, kappa, symmetry)
-    alpha = params.screening
+def _r_grid(alpha: float, w: float, q: float, bsq: float) -> np.ndarray:
+    """2001 points on which the closed form falls below 1e-8 of its peak at both ends."""
     rate = 2.0 * alpha * w
     if rate <= 0.0:
-        raise ExponentNotReal(f"no outer decay: beta^2 = {beta_squared(params, e, symmetry)}")
+        raise ExponentNotReal(f"no outer decay: beta^2 = {bsq}")
     edge_exp = 0.5 + q
     s_peak = w / (w + edge_exp)
     r_peak = -math.log(s_peak) / (2.0 * alpha)
@@ -547,51 +543,6 @@ def default_r_grid(
     return np.linspace(r_lo, r_hi, 2001)
 
 
-def dominant_component(
-    params: PhysicalParams,
-    sol: Union[EnergySolution, float],
-    n: int,
-    kappa: int,
-    r_grid: np.ndarray,
-    symmetry: str,
-) -> np.ndarray:
-    """L2-normalized closed-form component: the lower one of a pseudospin
-    state, the upper one of a spin state."""
-    raw, _ = _component_raw(params, _energy_of(sol), n, kappa, symmetry, r_grid)
-    raw_norm = math.sqrt(float(_trapezoid(raw**2, r_grid)))
-    if raw_norm == 0.0:
-        raise ExponentNotReal("component vanished identically on the grid")
-    out = raw / raw_norm
-    peak = int(np.argmax(np.abs(out)))
-    return -out if out[peak] < 0.0 else out
-
-
-def companion_component(
-    params: PhysicalParams,
-    sol: Union[EnergySolution, float],
-    dominant_samples: np.ndarray,
-    r_grid: np.ndarray,
-    n: int,
-    kappa: int,
-    symmetry: str,
-) -> np.ndarray:
-    """Companion from the first-order coupling, (d/dr + s*(kappa + H)/r)
-    applied to the dominant component over s*gamma, with the derivative taken
-    analytically through the polynomial chain rule."""
-    e = _energy_of(sol)
-    sym = symmetry_record(symmetry)
-    denom = sym.sign * _couplings(params, e, sym)[0]
-    if abs(denom) < THRESHOLD_TOLERANCE:
-        raise EnergyAtThreshold(f"e = {e} sits at the {symmetry} threshold")
-    raw, draw = _component_raw(params, e, n, kappa, symmetry, r_grid)
-    anchor = int(np.argmax(np.abs(raw)))
-    if raw[anchor] == 0.0:
-        raise ExponentNotReal(f"degenerate {sym.dominant} component")
-    scale = dominant_samples[anchor] / raw[anchor]
-    shifted = kappa + params.tensor_h
-    return scale * (draw + sym.sign * (shifted / r_grid) * raw) / denom
-
-
 def assemble_wavefunction(
     params: PhysicalParams,
     sol: Union[EnergySolution, float],
@@ -599,12 +550,30 @@ def assemble_wavefunction(
     kappa: int,
     symmetry: str,
 ) -> RadialWavefunction:
-    """Both radial components on the default grid, dominant one L2-normalized."""
+    """Both radial components from one evaluation of the closed form: the
+    dominant one L2-normalized and positive at its peak, the companion
+    (d/dr + s*(kappa + H)/r) of it over s*gamma, differentiated analytically."""
     sym = symmetry_record(symmetry)
-    e = _energy_of(sol)
-    r_grid = default_r_grid(params, e, kappa, symmetry)
-    dominant = dominant_component(params, e, n, kappa, r_grid, symmetry)
-    companion = companion_component(params, e, dominant, r_grid, n, kappa, symmetry)
+    e = sol.e if isinstance(sol, EnergySolution) else float(sol)
+    gamma, bsq = _couplings(params, e, sym)
+    w, q = _shape_exponents(params, e, kappa, symmetry)
+    r_grid = _r_grid(params.screening, w, q, bsq)
+    raw, draw = _closed_form(params.screening, w, q, n, r_grid)
+    raw_norm = math.sqrt(float(_trapezoid(raw**2, r_grid)))
+    if raw_norm == 0.0:
+        raise ExponentNotReal("component vanished identically on the grid")
+    out = raw / raw_norm
+    peak = int(np.argmax(np.abs(out)))
+    dominant = -out if out[peak] < 0.0 else out
+    denom = sym.sign * gamma
+    if abs(denom) < THRESHOLD_TOLERANCE:
+        raise EnergyAtThreshold(f"e = {e} sits at the {symmetry} threshold")
+    anchor = int(np.argmax(np.abs(raw)))
+    if raw[anchor] == 0.0:
+        raise ExponentNotReal(f"degenerate {sym.dominant} component")
+    scale = dominant[anchor] / raw[anchor]
+    shifted = kappa + params.tensor_h
+    companion = scale * (draw + sym.sign * (shifted / r_grid) * raw) / denom
     return RadialWavefunction(
         r_grid=r_grid,
         s_map=np.exp(-2.0 * params.screening * r_grid),
@@ -626,8 +595,9 @@ def first_order_residual(params: PhysicalParams, wf: RadialWavefunction) -> floa
     sym = symmetry_record(wf.symmetry)
     r = wf.r_grid
     h = min(1.0e-6, 0.5 * float(r[0]))
+    w, q = _shape_exponents(params, wf.e, wf.kappa, wf.symmetry)
     raw, plus, minus = (
-        _component_raw(params, wf.e, wf.n, wf.kappa, wf.symmetry, x)[0] for x in (r, r + h, r - h)
+        _closed_form(params.screening, w, q, wf.n, x)[0] for x in (r, r + h, r - h)
     )
     anchor = int(np.argmax(np.abs(raw)))
     d_fd = wf.dominant[anchor] / raw[anchor] * (plus - minus) / (2.0 * h)

@@ -12,8 +12,9 @@ from iqy_dirac.dirac_iqy import (
     PSPIN,
     SPIN,
     PhysicalParams,
+    _closed_form,
+    _shape_exponents,
     beta_squared,
-    dominant_component,
     effective_centrifugal,
     energy_residual_raw,
     energy_residual_rearranged,
@@ -85,14 +86,15 @@ class TestResidualRoutes:
 
 
 class TestComponentRoutes:
-    """Assembled Dirac components are proportional to the engine composite
-    evaluated on the mapped coefficients at s = exp(-2*alpha*r)."""
+    """The closed form the dominant Dirac component is assembled from is
+    proportional to the engine composite evaluated on the mapped coefficients
+    at s = exp(-2*alpha*r)."""
 
     def test_pspin_lower_matches_engine_composite(self):
         p = caption_params()
         e, n, kappa = -3.1, 1, -1
         r = np.linspace(0.5, 40.0, 101)
-        g = dominant_component(p, e, n, kappa, r, PSPIN)
+        g, _ = _closed_form(p.screening, *_shape_exponents(p, e, kappa, PSPIN), n, r)
         c = pspin_nu_coefficients(p, kappa, e)
         d = derive_parameters(c)
         composite = np.array(
@@ -109,7 +111,7 @@ class TestComponentRoutes:
         p = caption_params()
         e, n, kappa = 2.2, 1, -2
         r = np.linspace(0.5, 40.0, 101)
-        f = dominant_component(p, e, n, kappa, r, SPIN)
+        f, _ = _closed_form(p.screening, *_shape_exponents(p, e, kappa, SPIN), n, r)
         c = nu_coefficients(p, kappa, e, SPIN)
         d = derive_parameters(c)
         composite = np.array(

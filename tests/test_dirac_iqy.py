@@ -541,6 +541,26 @@ class TestBatchedSolve:
     def test_empty_batch(self):
         assert solve_batch([], SPIN, mode="relaxed") == []
 
+    # each input the CLI and the oracle reject used to return non-roots
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_rejects_infinite_tol(self, mode):
+        # relaxed mode stopped bisecting at once: E = -4.99437, residual 2.8e-3
+        with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+            solve_energies(caption_params(), 1, -1, PSPIN, tol=math.inf, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    def test_rejects_negative_n(self, mode):
+        # relaxed mode found two roots at n = -1, one with sign_ok=True
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            solve_batch([(caption_params(), 1, -1), (caption_params(), -1, -1)], PSPIN, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    @pytest.mark.parametrize("window", [(math.nan, math.nan), (-5.0, math.inf)])
+    def test_rejects_nonfinite_window(self, window, mode):
+        # a nan end compared false and was dropped without a word
+        with pytest.raises(ValueError, match="window must be finite"):
+            solve_energies(caption_params(), 1, -1, PSPIN, window=window, mode=mode)
+
     def test_scalar_square_moves_the_residual(self):
         # (lambda - 1/2)^2 at H = 5.464, kappa = 3 differs between pow() and
         # x * x; the printed residual keeps pow()

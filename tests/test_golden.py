@@ -3,8 +3,10 @@
 The files under ``tests/data`` were written by the CLI before the root finder
 was vectorized, the spin wavefunction and crosscheck files before spin and
 pseudospin were merged into one symmetry record, the fractional-H spectrum
-before the states of a table were bisected in one batch. Any difference, including the
-noise-level residual column, is a regression, not a reason to regenerate them.
+before the states of a table were bisected in one batch, the tensor
+wavefunction before a dump was built from one evaluation of the closed form.
+Any difference, including the noise-level residual column, is a regression,
+not a reason to regenerate them.
 """
 
 from pathlib import Path
@@ -39,6 +41,10 @@ GOLDEN = {
     "wavefunction_spin.json": [
         "wavefunction", "--symmetry", "spin", "--n-min", "0", "--kappa", "-2", "--format", "json",
     ],
+    # the tensor term (kappa + H)/r of the companion at H != 0
+    "wavefunction_pspin_tensor.csv": [
+        "wavefunction", "--symmetry", "pspin", "--n-min", "2", "--kappa", "-2", "--tensor-h", "5",
+    ],
     # the Coulomb anchors plus one spin Numerov march
     "crosscheck_spin.txt": [
         "crosscheck", "--symmetry", "spin", "--n-min", "0", "--n-max", "0", "--kappa", "-2",
@@ -46,6 +52,8 @@ GOLDEN = {
 }
 
 
+# a numpy warning on the way to a golden file is a failure, as in CI
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden(name, tmp_path):
     out = tmp_path / name

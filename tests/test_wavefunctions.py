@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from iqy_dirac import dirac_iqy
 from iqy_dirac.dirac_iqy import (
     PSPIN,
     SPIN,
     PhysicalParams,
-    _component_raw,
+    _closed_form,
+    _shape_exponents,
     assemble_wavefunction,
-    companion_component,
-    default_r_grid,
-    dominant_component,
     first_order_residual,
+    gamma_factor,
     select_branch_root,
     solve_energies,
 )
@@ -69,9 +69,10 @@ class TestPspinComponents:
         wf = assemble_wavefunction(p, sol, 1, -1, PSPIN)
         r = wf.r_grid
         h = min(1.0e-6, 0.5 * float(r[0]))
-        raw, exact = _component_raw(p, wf.e, 1, -1, PSPIN, r)
-        plus, _ = _component_raw(p, wf.e, 1, -1, PSPIN, r + h)
-        minus, _ = _component_raw(p, wf.e, 1, -1, PSPIN, r - h)
+        w, q = _shape_exponents(p, wf.e, -1, PSPIN)
+        raw, exact = _closed_form(p.screening, w, q, 1, r)
+        plus, _ = _closed_form(p.screening, w, q, 1, r + h)
+        minus, _ = _closed_form(p.screening, w, q, 1, r - h)
         anchor = int(np.argmax(np.abs(raw)))
         scale = abs(wf.lower[anchor] / raw[anchor])  # to the dumped norm
         assert scale * np.max(np.abs((plus - minus) / (2.0 * h) - exact)) <= 1e-6
@@ -88,19 +89,20 @@ class TestPspinComponents:
         assert np.allclose(wf.s_map, np.exp(-2.0 * p.screening * wf.r_grid), rtol=1e-13)
         assert np.all(np.diff(wf.r_grid) > 0.0)
 
+    # w ~ 1e-5 stretches the grid until s underflows, and the closed form's
+    # derivative divides by it before the threshold check is reached
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_threshold_error(self):
+        # just inside the threshold, where beta^2 > 0 still gives a grid
         p = caption_params()
-        e = p.mass + p.c_pspin
-        grid = np.linspace(0.1, 50.0, 100)
-        g = np.exp(-grid)
+        e = p.mass + p.c_pspin - 5e-13
         with pytest.raises(EnergyAtThreshold):
-            companion_component(p, e, g, grid, 1, -1, PSPIN)
+            assemble_wavefunction(p, e, 1, -1, PSPIN)
 
     def test_exponent_not_real_outside_domain(self):
         p = caption_params()
-        grid = np.linspace(0.1, 50.0, 100)
         with pytest.raises(ExponentNotReal):
-            dominant_component(p, -0.2, 1, -1, grid, PSPIN)  # beta_sq < 0
+            assemble_wavefunction(p, -0.2, 1, -1, PSPIN)  # beta_sq < 0
 
     def test_tensor_state(self):
         p, sol = pspin_state(1, -1, tensor_h=5.0)
@@ -125,29 +127,51 @@ class TestSpinComponents:
         wf = assemble_wavefunction(p, sol, n, kappa, SPIN)
         assert first_order_residual(p, wf) <= 1e-6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as for pspin
     def test_threshold_error(self):
         p = caption_params()
-        e = -p.mass + p.c_spin
-        grid = np.linspace(0.1, 50.0, 100)
+        e = -p.mass + p.c_spin + 5e-13
         with pytest.raises(EnergyAtThreshold):
-            companion_component(p, e, np.exp(-grid), grid, 0, -2, SPIN)
+            assemble_wavefunction(p, e, 0, -2, SPIN)
 
     def test_components_scale_together(self):
+        # the companion is the coupling applied to the closed form, times the
+        # factor that normalizes the dominant component
         p, sol = spin_state(0, -2)
-        grid = default_r_grid(p, sol, -2, SPIN)
-        f = dominant_component(p, sol, 0, -2, grid, SPIN)
-        g = companion_component(p, sol, f, grid, 0, -2, SPIN)
-        f2 = dominant_component(p, sol, 0, -2, grid, SPIN) * 2.0
-        g2 = companion_component(p, sol, f2, grid, 0, -2, SPIN)
-        assert np.allclose(g2, 2.0 * g, rtol=1e-12)
+        wf = assemble_wavefunction(p, sol, 0, -2, SPIN)
+        w, q = _shape_exponents(p, wf.e, -2, SPIN)
+        raw, draw = _closed_form(p.screening, w, q, 0, wf.r_grid)
+        coupled = (draw + (-2 + p.tensor_h) / wf.r_grid * raw) / gamma_factor(p, wf.e, SPIN)
+        anchor = int(np.argmax(np.abs(raw)))
+        scale = wf.upper[anchor] / raw[anchor]
+        assert np.allclose(wf.upper, scale * raw, rtol=1e-12)
+        assert np.allclose(wf.lower, scale * coupled, rtol=1e-12)
 
 
 class TestGrid:
     def test_default_grid_spans_demand(self):
         p, sol = pspin_state(2, -3)
-        grid = default_r_grid(p, sol, -3, PSPIN)
+        wf = assemble_wavefunction(p, sol, 2, -3, PSPIN)
+        grid = wf.r_grid
         assert len(grid) == 2001
         assert grid[0] > 0.0
-        g = dominant_component(p, sol, 2, -3, grid, PSPIN)
+        g = wf.lower
         assert np.abs(g[0]) < 1e-6 * np.abs(g).max()
         assert np.abs(g[-1]) < 1e-6 * np.abs(g).max()
+
+
+def test_one_closed_form_evaluation_per_dump(monkeypatch):
+    # one (w, q) and one Jacobi evaluation build a dump; the residual check
+    # adds one (w, q) and the closed form at r, r + h and r - h
+    p, sol = pspin_state(1, -1)
+    calls = {"jacobi": 0, "_shape_exponents": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(dirac_iqy, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(dirac_iqy, name, counted)
+    wf = assemble_wavefunction(p, sol, 1, -1, PSPIN)
+    assert calls == {"jacobi": 1, "_shape_exponents": 1}
+    first_order_residual(p, wf)
+    assert calls == {"jacobi": 4, "_shape_exponents": 2}
