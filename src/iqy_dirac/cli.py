@@ -278,6 +278,46 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # wavefunction
 
 
+# Rows of a sample table per % operation. All 2001 rows in one operation are
+# no faster, and their large transient strings grow peak RSS by heap
+# fragmentation; blocks keep it flat.
+_SAMPLE_BLOCK = 128
+_CSV_SAMPLE_ROW = "%.9g,%.9g,%.9g,%.9g"
+_JSON_SAMPLE_ROW = '    {\n      "r": %s,\n      "s": %s,\n      "F": %s,\n      "G": %s\n    }'
+
+
+def _row_blocks(table: np.ndarray):
+    """(row count, flat tuple of cells) of each block of _SAMPLE_BLOCK rows."""
+    for start in range(0, len(table), _SAMPLE_BLOCK):
+        block = table[start : start + _SAMPLE_BLOCK]
+        yield len(block), tuple(block.ravel().tolist())
+
+
+def _csv_samples(table: np.ndarray) -> str:
+    """The CSV lines of an (N, 4) sample table; fmt_float prints every
+    non-finite value as nan."""
+    finite = np.where(np.isfinite(table), table, np.nan)
+    return "\n".join("\n".join([_CSV_SAMPLE_ROW] * rows) % cells for rows, cells in _row_blocks(finite))
+
+
+def _json_number(cell: str) -> str:
+    """json's text for _round9 of the float that "%.9g" printed as ``cell``."""
+    value = float(cell)
+    return repr(value) if math.isfinite(value) else "null"
+
+
+def _json_samples(table: np.ndarray) -> str:
+    """The items of the "samples" list of an (N >= 1, 4) sample table, as
+    json.dumps(..., indent=2) writes them inside the dump's top-level dict."""
+    blocks = []
+    for rows, cells in _row_blocks(table):
+        texts = ("\n".join(["%.9g"] * len(cells)) % cells).split("\n")
+        # a fixed-notation %.9g cell with a point is already repr's text
+        texts = [t if "." in t and "e" not in t else _json_number(t) for t in texts]
+        blocks.append(",\n".join([_JSON_SAMPLE_ROW] * rows) % tuple(texts))
+    return ",\n".join(blocks)
+
+
 def cmd_wavefunction(cfg: RunConfig) -> int:
     n, kappa, h = cfg.n_min, cfg.kappas[0], cfg.tensor_h[0]
     if n > DEGREE_CAP:
@@ -298,24 +338,21 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         "nodes": oracle.count_nodes(wf.dominant),
         "back_substitution_residual": first_order_residual(params, wf),
     }
-    # thousands of sample floats: formatted directly, without the per-cell dispatch
-    samples = zip(wf.r_grid.tolist(), wf.s_map.tolist(), wf.upper.tolist(), wf.lower.tolist())
+    # the 2001-row sample table, formatted a block of rows at a time with one
+    # % operation and a repeated row template per block, not a Python call
+    # per cell; each cell is byte-equal to fmt_float (CSV) or to json's repr
+    # of the 9-digit rounding _round9 (JSON)
+    table = np.column_stack((wf.r_grid, wf.s_map, wf.upper, wf.lower))
     if cfg.fmt == "json":
-        payload = {
-            "meta": {key: _json_cell(value) for key, value in meta.items()},
-            "samples": [
-                {"r": _round9(r), "s": _round9(s), "F": _round9(f), "G": _round9(g)}
-                for r, s, f, g in samples
-            ],
-        }
-        _write_text(cfg.out, json.dumps(payload, indent=2) + "\n")
-        return 0
-    # the meta fields as three '#' lines: the state, its energy, its checks
-    cells = [f"{key}={_csv_cell(value)}" for key, value in meta.items()]
-    lines = ["# " + " ".join(cells[a:b]) for a, b in ((0, 4), (4, 6), (6, 8))]
-    lines.append("r,s,F,G")
-    lines.extend(f"{fmt_float(r)},{fmt_float(s)},{fmt_float(f)},{fmt_float(g)}" for r, s, f, g in samples)
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+        meta_json = {key: _json_cell(value) for key, value in meta.items()}
+        head = json.dumps({"meta": meta_json}, indent=2)[: -len("\n}")]  # left open
+        text = f'{head},\n  "samples": [\n{_json_samples(table)}\n  ]\n}}\n'
+    else:
+        # the meta fields as three '#' lines: the state, its energy, its checks
+        cells = [f"{key}={_csv_cell(value)}" for key, value in meta.items()]
+        lines = ["# " + " ".join(cells[a:b]) for a, b in ((0, 4), (4, 6), (6, 8))]
+        text = "\n".join([*lines, "r,s,F,G", _csv_samples(table)]) + "\n"
+    _write_text(cfg.out, text)
     return 0
 
 

@@ -558,7 +558,10 @@ def assemble_wavefunction(
     gamma, bsq = _couplings(params, e, sym)
     w, q = _shape_exponents(params, e, kappa, symmetry)
     r_grid = _r_grid(params.screening, w, q, bsq)
-    raw, draw = _closed_form(params.screening, w, q, n, r_grid)
+    # where s = exp(-2 alpha r) underflows to 0 the derivative's w / s is inf;
+    # the samples this leaves non-finite are counted and rejected below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        raw, draw = _closed_form(params.screening, w, q, n, r_grid)
     raw_norm = math.sqrt(float(_trapezoid(raw**2, r_grid)))
     if raw_norm == 0.0:
         raise ExponentNotReal("component vanished identically on the grid")
@@ -569,11 +572,13 @@ def assemble_wavefunction(
     if abs(denom) < THRESHOLD_TOLERANCE:
         raise EnergyAtThreshold(f"e = {e} sits at the {symmetry} threshold")
     anchor = int(np.argmax(np.abs(raw)))
-    if raw[anchor] == 0.0:
-        raise ExponentNotReal(f"degenerate {sym.dominant} component")
     scale = dominant[anchor] / raw[anchor]
     shifted = kappa + params.tensor_h
     companion = scale * (draw + sym.sign * (shifted / r_grid) * raw) / denom
+    for name, samples in ((sym.dominant, dominant), (sym.companion, companion)):
+        bad = int(np.count_nonzero(~np.isfinite(samples)))
+        if bad:
+            raise DomainError(f"{bad} of {samples.size} {name} samples are not finite at e = {e}")
     return RadialWavefunction(
         r_grid=r_grid,
         s_map=np.exp(-2.0 * params.screening * r_grid),

@@ -1,11 +1,12 @@
 import json
+import math
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from iqy_dirac import cli, oracle
+from iqy_dirac import cli, dirac_iqy, oracle
 from iqy_dirac.cli import (
     CSV_HEADER,
     RunConfig,
@@ -316,6 +317,20 @@ class TestWavefunction:
         run_main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_companion_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an energy 1e-9 inside the threshold, where the companion's
+        # derivative divides by an underflowed s: rejected, not dumped as nan
+        # (mass + cps of the defaults is -0.5); the dump reads only sol.e
+        sol = dirac_iqy.EnergySolution(e=-0.5 - 1e-9, residual=0.0, beta_sq=0.0, sign_ok=False)
+        monkeypatch.setattr(cli, "solve_energies", lambda *args, **kwargs: [sol])
+        out = tmp_path / "wf.csv"
+        code = run_main(["wavefunction", "--n-min", "1", "--kappa", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: 1952 of 2001 upper samples are not finite at e = -0.500000001\n"
+        assert not out.exists()
+
     def test_no_root_exits_2(self, tmp_path):
         # a window clipped away from every relaxed root
         code = run_main(
@@ -326,6 +341,48 @@ class TestWavefunction:
             ]
         )
         assert code == 2
+
+
+# Cells where the block formatter could part from the per-cell formatters:
+# non-finite values, signed zeros, subnormals, the exponent extremes,
+# integer-valued floats, [1e9, 1e16) (where %g and repr disagree on
+# notation), the fixed/exponent edge at 1e-4, and values %.9g rounds to it.
+SPECIAL_CELLS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    1e300, -1e300, 1e-300, -1e-300, 1.0, 20.0, -1.0, 123456789.0, 99999999.95,
+    1e9, 1234567890.0, -123456789012.0, 1.23456789e11, 9.99999999e15, 1e16,
+    1e-4, np.nextafter(1e-4, 0.0), 9.9999999e-5, 9.99999999949e-5, -0.000123,
+]
+
+
+def sample_table(rows):
+    rng = np.random.default_rng(rows)
+    values = np.where(
+        rng.random(rows * 4) < 0.5,
+        rng.choice(SPECIAL_CELLS, rows * 4),
+        rng.choice([-1.0, 1.0], rows * 4) * 10.0 ** rng.uniform(-320.0, 308.0, rows * 4),
+    )
+    values[: len(SPECIAL_CELLS)] = SPECIAL_CELLS[: rows * 4]
+    return values.reshape(rows, 4)
+
+
+class TestSampleTable:
+    # the block formatter against the per-cell formatters it replaces, across
+    # the block seams
+    SIZES = [1, cli._SAMPLE_BLOCK - 1, cli._SAMPLE_BLOCK, cli._SAMPLE_BLOCK + 1, 2001]
+
+    @pytest.mark.parametrize("rows", SIZES)
+    def test_csv_cells_equal_fmt_float(self, rows):
+        table = sample_table(rows)
+        reference = "\n".join(",".join(fmt_float(x) for x in row) for row in table.tolist())
+        assert cli._csv_samples(table) == reference
+
+    @pytest.mark.parametrize("rows", SIZES)
+    def test_json_items_equal_json_dumps(self, rows):
+        table = sample_table(rows)
+        items = [dict(zip("rsFG", map(cli._round9, row))) for row in table.tolist()]
+        reference = json.dumps({"samples": items}, indent=2)
+        assert '{\n  "samples": [\n' + cli._json_samples(table) + "\n  ]\n}" == reference
 
 
 class TestCrosscheck:

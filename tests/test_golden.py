@@ -4,7 +4,9 @@ The files under ``tests/data`` were written by the CLI before the root finder
 was vectorized, the spin wavefunction and crosscheck files before spin and
 pseudospin were merged into one symmetry record, the fractional-H spectrum
 before the states of a table were bisected in one batch, the tensor
-wavefunction before a dump was built from one evaluation of the closed form.
+wavefunction CSV before a dump was built from one evaluation of the closed
+form, its JSON twin before the sample table was formatted a block of rows at
+a time.
 Any difference, including the noise-level residual column, is a regression,
 not a reason to regenerate them.
 """
@@ -44,6 +46,10 @@ GOLDEN = {
     # the tensor term (kappa + H)/r of the companion at H != 0
     "wavefunction_pspin_tensor.csv": [
         "wavefunction", "--symmetry", "pspin", "--n-min", "2", "--kappa", "-2", "--tensor-h", "5",
+    ],
+    "wavefunction_pspin_tensor.json": [
+        "wavefunction", "--symmetry", "pspin", "--n-min", "2", "--kappa", "-2", "--tensor-h", "5",
+        "--format", "json",
     ],
     # the Coulomb anchors plus one spin Numerov march
     "crosscheck_spin.txt": [

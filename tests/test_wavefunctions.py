@@ -14,7 +14,7 @@ from iqy_dirac.dirac_iqy import (
     select_branch_root,
     solve_energies,
 )
-from iqy_dirac.errors import EnergyAtThreshold, ExponentNotReal
+from iqy_dirac.errors import DomainError, EnergyAtThreshold, ExponentNotReal
 from iqy_dirac.oracle import count_nodes
 
 
@@ -90,14 +90,22 @@ class TestPspinComponents:
         assert np.all(np.diff(wf.r_grid) > 0.0)
 
     # w ~ 1e-5 stretches the grid until s underflows, and the closed form's
-    # derivative divides by it before the threshold check is reached
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # derivative divides by it before the threshold check is reached, silently
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_threshold_error(self):
         # just inside the threshold, where beta^2 > 0 still gives a grid
         p = caption_params()
         e = p.mass + p.c_pspin - 5e-13
         with pytest.raises(EnergyAtThreshold):
             assemble_wavefunction(p, e, 1, -1, PSPIN)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_companion_rejected(self):
+        # 1e-9 inside the threshold the grid runs to r = 3e5, where s
+        # underflows to 0 and the derivative's w / s leaves upper nan
+        p = caption_params()
+        with pytest.raises(DomainError, match=r"^1952 of 2001 upper samples are not finite"):
+            assemble_wavefunction(p, p.mass + p.c_pspin - 1e-9, 1, -1, PSPIN)
 
     def test_exponent_not_real_outside_domain(self):
         p = caption_params()
@@ -127,7 +135,7 @@ class TestSpinComponents:
         wf = assemble_wavefunction(p, sol, n, kappa, SPIN)
         assert first_order_residual(p, wf) <= 1e-6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as for pspin
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # as for pspin
     def test_threshold_error(self):
         p = caption_params()
         e = -p.mass + p.c_spin + 5e-13
