@@ -368,6 +368,11 @@ def _text_report_only(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"{command} writes a text report; --format json is not supported")
 
 
+# Finite inputs far outside the physical range overflow in the couplings or
+# march into non-finite samples; raising turns them into main's exit-2 error
+# line instead of a "no bound state" report. The march's own ignore block for
+# discarded rows stays silent.
+@np.errstate(over="raise", invalid="raise")
 def cmd_crosscheck(cfg: RunConfig) -> int:
     """Closed form versus shooting on the identical problems.
 

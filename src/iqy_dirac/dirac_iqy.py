@@ -337,6 +337,8 @@ def scan_window(
             raise ValueError(f"window must be finite, got {window}")
         if w_hi <= lo or w_lo >= hi:
             raise EmptyWindow(f"window ({w_lo}, {w_hi}) outside strict domain ({lo}, {hi})")
+        if w_lo >= w_hi:
+            raise ValueError(f"window needs lo < hi, got {window}")
         lo, hi = max(lo, w_lo), min(hi, w_hi)
     lo += WINDOW_MARGIN
     hi -= WINDOW_MARGIN

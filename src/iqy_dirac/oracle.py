@@ -12,7 +12,10 @@ The effective potential is held in the split form
     W(r, E) = c0(r) + gamma(E) * c1(r) + beta_sq(E)
 
 so a whole vector of trial energies marches in one pass during scans, while
-root polishing and whole-grid integration share one plain-float march. Each
+root polishing and whole-grid integration share one plain-float march. A
+family gives the energy dependence by two callables: ``couplings(e)`` returns
+(gamma, beta_sq), and ``seed(gamma, beta_sq)`` the small-r power-law index
+and the 1/r and constant coefficients of W that seed the outward march. Each
 march is written in one direction: an inward march is the outward recurrence
 run over the reversed grid, seeded with the decaying large-r solution.
 
@@ -52,9 +55,9 @@ from .dirac_iqy import (
     PSPIN,
     SPIN,
     PhysicalParams,
-    beta_squared,
+    _couplings,
     effective_centrifugal,
-    gamma_factor,
+    symmetry_record,
 )
 from .errors import NodeMismatch, NoRootInWindow, SeedUndefined
 
@@ -67,30 +70,28 @@ _CHUNK_ROWS = 64
 _SCAN_POINTS = 240
 
 
-def _zero_coeff(e):
-    return 0.0 * np.asarray(e, dtype=float)
-
-
 @dataclass
 class ProblemFamily:
     """Radial problem parameterized by the trial energy.
 
-    ``lin_coeff`` and ``const_coeff`` are the 1/r and constant coefficients
-    of W as r -> 0; they sharpen the power-law seed of the outward march by
-    two Frobenius orders, which keeps seed contamination below the
-    grid-convergence tolerance even for slowly suppressed indices.
+    The energy enters only through two callables, each taking a float or an
+    array of energies:
+
+    - ``couplings(e) -> (gamma, beta_sq)``, the factors of W's split form;
+    - ``seed(gamma, beta_sq) -> (nu, w1, w0)``, the power-law index of the
+      regular small-r solution and the 1/r and constant coefficients of W as
+      r -> 0. The two coefficients sharpen the outward march's power-law
+      seed by two Frobenius orders, which keeps seed contamination below the
+      grid-convergence tolerance even for slowly suppressed indices.
     """
 
     c0_fn: Callable[[np.ndarray], np.ndarray]
     c1_fn: Callable[[np.ndarray], np.ndarray]
-    gamma: Callable
-    beta_sq: Callable
-    nu: Callable
+    couplings: Callable
+    seed: Callable
     r_min: float
     r_max: float
     step: float
-    lin_coeff: Callable = _zero_coeff
-    const_coeff: Callable = _zero_coeff
     hard_wall: bool = False
     label: str = ""
     r: np.ndarray = field(init=False, repr=False)
@@ -111,7 +112,8 @@ class ProblemFamily:
 
     def effective_potential(self, e: float) -> np.ndarray:
         """W(r, e) on the family's grid, from the cached coefficients."""
-        return self._c0 + float(self.gamma(e)) * self._c1 + float(self.beta_sq(e))
+        g1, g2 = map(float, self.couplings(e))
+        return self._c0 + g1 * self._c1 + g2
 
 
 # ---------------------------------------------------------------------------
@@ -153,36 +155,27 @@ def iqy_family(
     def c1_fn(r):
         return -params.v0 * np.exp(-2.0 * alpha * r) * cent(r)
 
-    def gamma(e):
-        return gamma_factor(params, e, symmetry)
+    sym = symmetry_record(symmetry)
 
-    def beta_sq(e):
-        return beta_squared(params, e, symmetry)
+    def couplings(e):
+        return _couplings(params, e, sym)
 
-    def nu(e):
-        rad = (shifted - 0.5) ** 2 - gamma(e) * params.v0
+    def seed(gamma, bsq):
+        rad = (shifted - 0.5) ** 2 - gamma * params.v0
         rad = np.where(np.asarray(rad) >= 0.0, rad, np.nan)
-        return 0.5 + np.sqrt(rad)
-
-    def lin_coeff(e):
         # small-r expansion of -v0*exp(-2*alpha*r)*c(r); the centrifugal
         # factor itself is even in r and contributes no 1/r term
-        return 2.0 * alpha * params.v0 * gamma(e)
-
-    def const_coeff(e):
-        base = beta_sq(e) - 2.0 * alpha**2 * params.v0 * gamma(e)
+        w1 = 2.0 * alpha * params.v0 * gamma
+        w0 = bsq - 2.0 * alpha**2 * params.v0 * gamma
         if approximate:
-            base = base - alpha**2 * (shifted * (shifted - 1.0) - gamma(e) * params.v0) / 3.0
-        return base
+            w0 = w0 - alpha**2 * (shifted * (shifted - 1.0) - gamma * params.v0) / 3.0
+        return 0.5 + np.sqrt(rad), w1, w0
 
     return ProblemFamily(
         c0_fn=c0_fn,
         c1_fn=c1_fn,
-        gamma=gamma,
-        beta_sq=beta_sq,
-        nu=nu,
-        lin_coeff=lin_coeff,
-        const_coeff=const_coeff,
+        couplings=couplings,
+        seed=seed,
         r_min=r_min if r_min is not None else h,
         r_max=r_max if r_max is not None else 14.0 / alpha,
         step=h,
@@ -212,28 +205,19 @@ def coulomb_family(
     def c1_fn(r):
         return -b_coeff / r
 
-    def gamma(e):
-        return e - mass
-
-    def beta_sq(e):
-        return (mass + e) * (mass - e)
+    def couplings(e):
+        return e - mass, (mass + e) * (mass - e)
 
     index = 0.5 + abs(kappa - 0.5)
 
-    def nu(e):
-        return index + 0.0 * np.asarray(e, dtype=float)
-
-    def lin_coeff(e):
-        return -b_coeff * gamma(e)
+    def seed(gamma, bsq):
+        return index + 0.0 * np.asarray(gamma, dtype=float), -b_coeff * gamma, bsq
 
     return ProblemFamily(
         c0_fn=c0_fn,
         c1_fn=c1_fn,
-        gamma=gamma,
-        beta_sq=beta_sq,
-        nu=nu,
-        lin_coeff=lin_coeff,
-        const_coeff=beta_sq,
+        couplings=couplings,
+        seed=seed,
         r_min=step,
         r_max=r_max,
         step=step,
@@ -248,15 +232,14 @@ def coulomb_family(
 def _seed_series(family: ProblemFamily, e):
     """Power-law index nu and coefficients a1, a2 of the regular small-r seed
     r^nu (1 + a1 r + a2 r^2), for a float or an array of energies."""
-    index = family.nu(e)
+    index, w1, w0 = family.seed(*family.couplings(e))
     if not np.all(np.isfinite(index)):
         raise SeedUndefined(
             "small-r power-law index is complex inside the window; "
             "the regular boundary solution does not exist"
         )
-    v1 = family.lin_coeff(e)
-    a1 = v1 / (2.0 * index)
-    a2 = (v1 * a1 + family.const_coeff(e)) / (4.0 * index + 2.0)
+    a1 = w1 / (2.0 * index)
+    a2 = (w1 * a1 + w0) / (4.0 * index + 2.0)
     return index, a1, a2
 
 
@@ -296,8 +279,7 @@ def _march(
     rescale divides the samples already kept), and the sign changes through
     index ``stop - 2``.
     """
-    g1 = float(family.gamma(e))
-    g2 = float(family.beta_sq(e))
+    g1, g2 = map(float, family.couplings(e))
     c0, c1 = family._c0, family._c1
     if outward:
         u_prev, u_curr = _outward_seed_scalar(family, e)
@@ -353,8 +335,7 @@ def _sweep_vec(
     r = family.r
     h = family.step
     e_vec = np.atleast_1d(np.asarray(e_vec, dtype=float))
-    g1 = np.atleast_1d(np.asarray(family.gamma(e_vec), dtype=float))
-    g2 = np.atleast_1d(np.asarray(family.beta_sq(e_vec), dtype=float))
+    g1, g2 = (np.atleast_1d(np.asarray(g, dtype=float)) for g in family.couplings(e_vec))
     cols = len(e_vec)
     c0, c1 = family._c0, family._c1
     h2 = h * h / 12.0

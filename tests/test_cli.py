@@ -503,6 +503,8 @@ class TestExitCodes:
             ["crosscheck", "--screening", "1e-300"],
             ["spectrum", "--screening", "1e300"],
             ["crosscheck", "--screening", "1e200", "--n-max", "0"],
+            ["crosscheck", "--mass", "1e150"],
+            ["crosscheck", "--mass", "1e300"],
             ["wavefunction", "--tensor-h", "1e308"],
             ["spectrum", "--mass", "1e308"],
             ["wavefunction", "--mass", "1e200"],
@@ -513,7 +515,8 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_finite_input_exits_2(self, argv, tmp_path, capsys):
         # finite inputs whose arithmetic overflows, underflows to a zero
-        # divisor, rounds beta^2 to -0.0 or puts the grid start at r = inf;
+        # divisor, rounds beta^2 to -0.0, puts the grid start at r = inf or
+        # marches the oracle into non-finite samples;
         # a numpy warning on the way would be a second stderr line
         out = tmp_path / "out.txt"
         code = run_main([*argv, "--out", str(out)])

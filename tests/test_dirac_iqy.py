@@ -561,6 +561,16 @@ class TestBatchedSolve:
         with pytest.raises(ValueError, match="window must be finite"):
             solve_energies(caption_params(), 1, -1, PSPIN, window=window, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["strict", "relaxed"])
+    @pytest.mark.parametrize("window", [(-1.0, -4.0), (-2.0, -2.0)])
+    def test_rejects_reversed_window(self, window, mode):
+        # both ends inside the strict domain, so the intersection came out
+        # empty and the solve returned [] without a word
+        with pytest.raises(ValueError, match="window needs lo < hi"):
+            solve_energies(caption_params(), 1, -1, PSPIN, window=window, mode=mode)
+        with pytest.raises(ValueError, match="window needs lo < hi"):
+            scan_window(caption_params(), 1, -1, PSPIN, window)
+
     def test_scalar_square_moves_the_residual(self):
         # (lambda - 1/2)^2 at H = 5.464, kappa = 3 differs between pow() and
         # x * x; the printed residual keeps pow()

@@ -6,7 +6,17 @@ import pytest
 
 from iqy_dirac import oracle
 from iqy_dirac.cli import COULOMB_ANCHOR_STATES
-from iqy_dirac.dirac_iqy import PSPIN, SPIN, PhysicalParams, scan_window
+from iqy_dirac.dirac_iqy import (
+    PSPIN,
+    SPIN,
+    PhysicalParams,
+    _closed_form,
+    _shape_exponents,
+    assemble_wavefunction,
+    scan_window,
+    select_branch_root,
+    solve_energies,
+)
 from iqy_dirac.errors import NodeMismatch, NoRootInWindow, SeedUndefined
 from iqy_dirac.limits import coulomb_energy
 from iqy_dirac.oracle import (
@@ -24,6 +34,7 @@ from iqy_dirac.oracle import (
     coulomb_family,
     count_nodes,
     integrate_outward,
+    iqy_family,
     pspin_family,
     scan_eigenvalues,
     shoot_eigenvalue,
@@ -54,9 +65,8 @@ def constant_family(beta_sq=1.0, index=1.0, c0=None, r_min=1e-4, r_max=3.0, step
     return ProblemFamily(
         c0_fn=(lambda r: 0.0 * r) if c0 is None else c0,
         c1_fn=lambda r: 0.0 * r,
-        gamma=lambda e: 0.0 * np.asarray(e),
-        beta_sq=lambda e: beta_sq + 0.0 * np.asarray(e),
-        nu=lambda e: index + 0.0 * np.asarray(e),
+        couplings=lambda e: (0.0 * np.asarray(e), beta_sq + 0.0 * np.asarray(e)),
+        seed=lambda gamma, bsq: (index + 0.0 * gamma, 0.0 * gamma, 0.0 * gamma),
         r_min=r_min,
         r_max=r_max,
         step=step,
@@ -133,9 +143,8 @@ class TestIntegration:
         family = ProblemFamily(
             c0_fn=lambda r: -1.0 / (r * r),
             c1_fn=lambda r: 0.0 * r,
-            gamma=lambda e: 0.0 * np.asarray(e),
-            beta_sq=lambda e: 1.0 + 0.0 * np.asarray(e),
-            nu=lambda e: np.nan + 0.0 * np.asarray(e),
+            couplings=lambda e: (0.0 * np.asarray(e), 1.0 + 0.0 * np.asarray(e)),
+            seed=lambda gamma, bsq: (np.nan + 0.0 * gamma, 0.0 * gamma, 0.0 * gamma),
             r_min=1e-3,
             r_max=2.0,
             step=1e-3,
@@ -252,6 +261,42 @@ class TestIqyProblems:
             assert scan_eigenvalues(family, window, tol=1e-9) == []
 
 
+class TestAntiBound:
+    """A relaxed root is an anti-bound (virtual) state: there the oracle's
+    regular solution is the closed form with w -> -w,
+    s^-w (1-s)^(1/2+q) P_n^(-2w, 2q)(1-2s), which grows as exp(|beta| r).
+    The decaying +w formula that ``assemble_wavefunction`` dumps is not an
+    eigenfunction. Away from the root the ratio of the two drifts."""
+
+    @staticmethod
+    def _spread(p, n, kappa, symmetry, e, r_max):
+        """max |ratio / ratio[mid] - 1| of the oracle's regular solution over
+        the growing branch, on the samples above 1e-6 of the branch's peak."""
+        r, u = integrate_outward(iqy_family(p, kappa, symmetry, r_max=r_max), e)
+        w, q = _shape_exponents(p, e, kappa, symmetry)
+        growing, _ = _closed_form(p.screening, -w, q, n, r)
+        kept = np.abs(growing) > 1e-6 * np.abs(growing).max()
+        ratio = u[kept] / growing[kept]
+        return float(np.max(np.abs(ratio / ratio[len(ratio) // 2] - 1.0)))
+
+    @pytest.mark.parametrize(
+        "symmetry, screening, n, kappa, h",
+        [
+            (PSPIN, 0.05, 1, -1, 0.0),
+            (PSPIN, 0.05, 2, 3, 5.0),
+            (SPIN, 0.05, 0, -2, 0.0),
+            (SPIN, 0.5, 1, 1, 0.5),
+            (PSPIN, 0.01, 5, -1, 0.0),
+        ],
+    )
+    def test_regular_solution_is_growing_branch(self, symmetry, screening, n, kappa, h):
+        p = caption_params(screening=screening, tensor_h=h)
+        root = select_branch_root(solve_energies(p, n, kappa, symmetry, mode="relaxed"), symmetry)
+        r_max = assemble_wavefunction(p, root, n, kappa, symmetry).r_grid[-1]
+        assert self._spread(p, n, kappa, symmetry, root.e, r_max) < 1e-8
+        assert self._spread(p, n, kappa, symmetry, root.e + 1e-4, r_max) > 1e-6
+
+
 class TestKernels:
     """The scalar march that refines roots and the batched march that scans
     for them compute the same matching function."""
@@ -281,8 +326,7 @@ class TestKernels:
 
 def _reference_march(family, e, outward, stop, keep):
     """The plain-float march as first written: W rebuilt at every step."""
-    g1 = float(family.gamma(e))
-    g2 = float(family.beta_sq(e))
+    g1, g2 = map(float, family.couplings(e))
     c0, c1 = family._c0.tolist(), family._c1.tolist()
     if outward:
         u_prev, u_curr = _outward_seed_scalar(family, e)
@@ -319,8 +363,9 @@ def _reference_sweep(family, e_vec, m_idx, outward, rescales=None):
     taken at every step. A ``rescales`` list receives the march row and the
     columns of each rescale."""
     r, h = family.r, family.step
-    g1 = np.atleast_1d(np.asarray(family.gamma(e_vec), dtype=float))
-    g2 = np.atleast_1d(np.asarray(family.beta_sq(e_vec), dtype=float))
+    gamma, bsq = family.couplings(e_vec)
+    g1 = np.atleast_1d(np.asarray(gamma, dtype=float))
+    g2 = np.atleast_1d(np.asarray(bsq, dtype=float))
     cols = len(e_vec)
     c0, c1 = family._c0, family._c1
     h2 = h * h / 12.0
@@ -333,12 +378,9 @@ def _reference_sweep(family, e_vec, m_idx, outward, rescales=None):
     elif family.hard_wall:
         u_prev = np.zeros(cols)
     else:
-        index = np.atleast_1d(np.asarray(family.nu(e_vec), dtype=float))
-        v1 = np.atleast_1d(np.asarray(family.lin_coeff(e_vec), dtype=float))
+        index, v1, v0 = (np.atleast_1d(np.asarray(c, dtype=float)) for c in family.seed(gamma, bsq))
         a1 = v1 / (2.0 * index)
-        a2 = (
-            v1 * a1 + np.atleast_1d(np.asarray(family.const_coeff(e_vec), dtype=float))
-        ) / (4.0 * index + 2.0)
+        a2 = (v1 * a1 + v0) / (4.0 * index + 2.0)
         u_prev = (
             (r[0] / r[1]) ** index
             * (1.0 + a1 * r[0] + a2 * r[0] * r[0])
@@ -376,16 +418,15 @@ def _sqrt_energy_family(hard_wall=False, nan_above=None):
     those near 1 do not (e^30);
     ``nan_above`` turns W into NaN for the larger energies."""
 
-    def gamma(e):
+    def couplings(e):
         e = np.asarray(e, dtype=float)
-        return 0.0 * e if nan_above is None else np.where(e > nan_above, np.nan, 0.0)
+        return (0.0 * e if nan_above is None else np.where(e > nan_above, np.nan, 0.0)), e
 
     return ProblemFamily(
         c0_fn=lambda r: 0.0 * r,
         c1_fn=lambda r: 1.0 + 0.0 * r,
-        gamma=gamma,
-        beta_sq=lambda e: np.asarray(e, dtype=float),
-        nu=lambda e: 1.0 + 0.0 * np.asarray(e),
+        couplings=couplings,
+        seed=lambda gamma, bsq: (1.0 + 0.0 * bsq, 0.0 * bsq, 0.0 * bsq),
         r_min=1e-2,
         r_max=30.0,
         step=1e-2,
@@ -486,9 +527,9 @@ class TestReferenceLoop:
         family = ProblemFamily(
             c0_fn=c0,
             c1_fn=lambda r: 0.0 * r,
-            gamma=lambda e: 0.0 * np.asarray(e),
-            beta_sq=lambda e: 0.0 * np.asarray(e),
-            nu=lambda e: np.asarray(e, dtype=float),
+            # the index equals the energy; c1 = 0 keeps gamma out of W
+            couplings=lambda e: (np.asarray(e, dtype=float), 0.0 * np.asarray(e)),
+            seed=lambda gamma, bsq: (gamma, 0.0 * gamma, 0.0 * gamma),
             r_min=h,
             r_max=40.0,
             step=h,
