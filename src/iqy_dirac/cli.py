@@ -33,6 +33,7 @@ from .dirac_iqy import (
     select_branch_root,
     solve_batch,
     solve_energies,
+    symmetry_record,
 )
 from .errors import ConfigError, IoError, IqyDiracError, NoRoot
 from .limits import coulomb_energy
@@ -408,21 +409,19 @@ def cmd_crosscheck(cfg: RunConfig) -> int:
     for h in cfg.tensor_h:
         params = cfg.physical(h)
         # scan_window and the oracle family do not depend on n: one scan per kappa
-        kappa_shots = {}
+        shots = {}
+        for kappa in dict.fromkeys(cfg.kappas):
+            bounds = dirac_iqy.scan_window(params, cfg.n_min, kappa, cfg.symmetry, cfg.window)
+            shots[kappa] = [] if bounds is None else oracle.scan_eigenvalues(
+                oracle.iqy_family(params, kappa, cfg.symmetry), bounds, tol=1.0e-9
+            )
         for n in range(cfg.n_min, cfg.n_max + 1):
             for kappa in cfg.kappas:
-                if kappa not in kappa_shots:
-                    bounds = dirac_iqy.scan_window(params, n, kappa, cfg.symmetry, cfg.window)
-                    kappa_shots[kappa] = []
-                    if bounds is not None:
-                        family = oracle.iqy_family(params, kappa, cfg.symmetry)
-                        kappa_shots[kappa] = oracle.scan_eigenvalues(family, bounds, tol=1.0e-9)
-                shots = kappa_shots[kappa]
-                if shots:
+                if shots[kappa]:
                     failures += 1
                     lines.append(
                         f"n={n} kappa={kappa} H={fmt_float(h)} FAIL: "
-                        f"0 closed-form vs {len(shots)} shooting roots"
+                        f"0 closed-form vs {len(shots[kappa])} shooting roots"
                     )
                 else:
                     lines.append(
@@ -443,40 +442,27 @@ def cmd_crosscheck(cfg: RunConfig) -> int:
 # reproduce-tables
 
 
-def _caption_params(tensor_h: float) -> PhysicalParams:
-    return PhysicalParams(
-        mass=reference_tables.CAPTION_MASS,
-        v0=reference_tables.CAPTION_V0,
-        screening=0.05,  # placeholder; the fit scans screening explicitly
-        tensor_h=tensor_h,
-        c_spin=reference_tables.CAPTION_C_SPIN,
-        c_pspin=reference_tables.CAPTION_C_PSPIN,
-    )
-
-
-def _pattern_checks(lines: List[str]) -> int:
-    failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        failures += 0 if ok else 1
-        lines.append(f"pattern {name}: {'PASS' if ok else 'FAIL'}")
-
-    pspin = reference_tables.PSPIN_ROWS
-    spin = reference_tables.SPIN_ROWS
-    check("pspin H=0 pairs equal (8)", all(r.e_aligned[0.0] == r.e_unaligned[0.0] for r in pspin))
-    check("spin H=0 pairs equal (8)", all(r.e_aligned[0.0] == r.e_unaligned[0.0] for r in spin))
-    check("pspin H=5 pairs split (8)", all(r.e_aligned[5.0] != r.e_unaligned[5.0] for r in pspin))
-    check("spin H=5 pairs split (8)", all(r.e_aligned[5.0] != r.e_unaligned[5.0] for r in spin))
-    check(
-        "pspin H=5 aligned member lower",
-        all(float(r.e_aligned[5.0]) < float(r.e_unaligned[5.0]) for r in pspin),
-    )
-    check(
-        "spin H=5 aligned member higher",
-        all(float(r.e_aligned[5.0]) > float(r.e_unaligned[5.0]) for r in spin),
-    )
-    return failures
+# the screening is a placeholder; the fit scans screening explicitly
+_CAPTION = PhysicalParams(
+    mass=reference_tables.CAPTION_MASS,
+    v0=reference_tables.CAPTION_V0,
+    screening=0.05,
+    c_spin=reference_tables.CAPTION_C_SPIN,
+    c_pspin=reference_tables.CAPTION_C_PSPIN,
+)
+# per symmetry: the published doublet rows and the anchor entry (E, n, kappa)
+_PUBLISHED = {
+    PSPIN: (reference_tables.PSPIN_ROWS, reference_tables.ANCHOR_PSPIN),
+    SPIN: (reference_tables.SPIN_ROWS, reference_tables.ANCHOR_SPIN),
+}
+# each check of the published doublet pattern, run on both tables: its label
+# and whether a row's (aligned, unaligned) energies pass, given the sign s of
+# the mass term (aligned lower at H = 5 for pseudospin, higher for spin)
+_PATTERNS = (
+    ("H=0 pairs equal ({count})", lambda a, u, s: a[0.0] == u[0.0]),
+    ("H=5 pairs split ({count})", lambda a, u, s: a[5.0] != u[5.0]),
+    ("H=5 aligned member {side}", lambda a, u, s: s * (float(a[5.0]) - float(u[5.0])) > 0.0),
+)
 
 
 def cmd_reproduce_tables(cfg: RunConfig) -> int:
@@ -486,38 +472,28 @@ def cmd_reproduce_tables(cfg: RunConfig) -> int:
         "# captioned parameters: mass=5 fm^-1, v0=1, c_pspin=-5.5 fm^-1, c_spin=6 fm^-1"
     )
 
-    anchor_e, anchor_n, anchor_kappa = reference_tables.ANCHOR_PSPIN
-    p0 = _caption_params(0.0)
-    beta_anchor = beta_squared(p0, float(anchor_e), PSPIN)
-    spin_e, _, _ = reference_tables.ANCHOR_SPIN
-    beta_spin_anchor = beta_squared(p0, float(spin_e), SPIN)
     lines.append("## threshold diagnostics at the published energies")
-    lines.append(f"pspin anchor E={anchor_e}: beta_sq={fmt_float(beta_anchor)}")
-    lines.append(f"spin anchor E={spin_e}: beta_sq={fmt_float(beta_spin_anchor)}")
+    for symmetry, (_, (anchor_e, _, _)) in _PUBLISHED.items():
+        beta_anchor = beta_squared(_CAPTION, float(anchor_e), symmetry)
+        lines.append(f"{symmetry} anchor E={anchor_e}: beta_sq={fmt_float(beta_anchor)}")
 
-    negative = zero = positive = total = 0
-    for symmetry, table in ((PSPIN, reference_tables.PSPIN_ROWS), (SPIN, reference_tables.SPIN_ROWS)):
-        for row in table:
-            for bag in (row.e_aligned, row.e_unaligned):
-                for text in bag.values():
-                    total += 1
-                    value = beta_squared(p0, float(text), symmetry)
-                    if value < 0.0:
-                        negative += 1
-                    elif value == 0.0:
-                        zero += 1
-                    else:
-                        positive += 1
+    values = np.array([
+        beta_squared(_CAPTION, float(text), symmetry)
+        for symmetry, (rows, _) in _PUBLISHED.items()
+        for row in rows
+        for text in (*row.e_aligned.values(), *row.e_unaligned.values())
+    ])
     lines.append(
-        f"entries of {total}: beta_sq negative {negative}, exactly at threshold {zero}, "
-        f"positive {positive} (bound states need beta_sq > 0)"
+        f"entries of {values.size}: beta_sq negative {np.sum(values < 0.0)}, exactly at threshold "
+        f"{np.sum(values == 0.0)}, positive {np.sum(values > 0.0)} (bound states need beta_sq > 0)"
     )
 
     lines.append("## screening fit on the pspin anchor entry")
+    anchor_e, anchor_n, anchor_kappa = _PUBLISHED[PSPIN][1]
     target = float(anchor_e)
     alphas = np.geomspace(1.0e-3, 0.5, 25)
     fits = solve_batch(
-        [(replace(p0, screening=float(alpha)), anchor_n, anchor_kappa) for alpha in alphas],
+        [(replace(_CAPTION, screening=float(alpha)), anchor_n, anchor_kappa) for alpha in alphas],
         PSPIN,
         mode="relaxed",
     )
@@ -533,7 +509,14 @@ def cmd_reproduce_tables(cfg: RunConfig) -> int:
     )
 
     lines.append("## internal degeneracy pattern of the published tables")
-    failures = _pattern_checks(lines)
+    failures = 0
+    for name, holds in _PATTERNS:
+        for symmetry, (rows, _) in _PUBLISHED.items():
+            sign = symmetry_record(symmetry).sign
+            ok = all(holds(row.e_aligned, row.e_unaligned, sign) for row in rows)
+            failures += 0 if ok else 1
+            label = name.format(count=len(rows), side="lower" if sign < 0.0 else "higher")
+            lines.append(f"pattern {symmetry} {label}: {'PASS' if ok else 'FAIL'}")
     lines.append(f"# pattern_failures={failures}")
     _write_text(cfg.out, "\n".join(lines) + "\n")
     return 0 if failures == 0 else 3

@@ -218,8 +218,9 @@ def nu_coefficients(params: PhysicalParams, kappa: int, e: float, symmetry: str)
 pspin_nu_coefficients = partial(nu_coefficients, symmetry=PSPIN)
 
 
-def _centrifugal_radicand(params: PhysicalParams, kappa: int, gamma, sym: Symmetry):
-    lam = effective_centrifugal(kappa, params.tensor_h, sym.name)
+def _centrifugal_radicand(params: PhysicalParams, kappa: int, gamma, symmetry: str):
+    """(lambda - 1/2)^2 - gamma*V0, the square of the edge exponent q."""
+    lam = effective_centrifugal(kappa, params.tensor_h, symmetry)
     return (lam - 0.5) ** 2 - gamma * params.v0
 
 
@@ -229,17 +230,8 @@ def energy_residual_raw(
     """Quantization condition as printed, LHS minus RHS, principal roots."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    sym = symmetry_record(symmetry)
-    gamma, bsq = _couplings(params, e, sym)
-    rad = _centrifugal_radicand(params, kappa, gamma, sym)
-    if rad < -RADICAND_TOLERANCE:
-        raise NegativeRadicand(f"centrifugal radicand = {rad} at e = {e}")
-    if bsq < -RADICAND_TOLERANCE:
-        raise NegativeRadicand(f"beta^2 = {bsq} at e = {e}")
-    q = math.sqrt(max(rad, 0.0))
-    w = math.sqrt(max(bsq, 0.0)) / (2.0 * params.screening)
-    gv = gamma * params.v0
-    return (n + 0.5 + q + w) ** 2 - (w * w - gv)
+    w, q = _shape_exponents(params, e, kappa, symmetry)
+    return (n + 0.5 + q + w) ** 2 - (w * w - gamma_factor(params, e, symmetry) * params.v0)
 
 
 def energy_residual_rearranged(
@@ -253,8 +245,7 @@ def energy_residual_rearranged(
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    sym = symmetry_record(symmetry)
-    rad = _centrifugal_radicand(params, kappa, _couplings(params, e, sym)[0], sym)
+    rad = _centrifugal_radicand(params, kappa, gamma_factor(params, e, symmetry), symmetry)
     if rad < -RADICAND_TOLERANCE:
         raise NegativeRadicand(f"centrifugal radicand = {rad} at e = {e}")
     residual, sign_ok, _ = _rearranged_vec(params, n, kappa, symmetry, e)
@@ -501,7 +492,7 @@ def _shape_exponents(
     gamma, bsq = _couplings(params, e, sym)
     if bsq < -RADICAND_TOLERANCE:
         raise ExponentNotReal(f"beta^2 = {bsq} < 0 at e = {e}")
-    rad = _centrifugal_radicand(params, kappa, gamma, sym)
+    rad = _centrifugal_radicand(params, kappa, gamma, symmetry)
     if rad < -RADICAND_TOLERANCE:
         raise ExponentNotReal(f"centrifugal radicand = {rad} < 0 at e = {e}")
     w = math.sqrt(max(bsq, 0.0)) / (2.0 * params.screening)
@@ -527,18 +518,37 @@ def _closed_form(
     return value, dvalue_dr
 
 
-def _r_grid(alpha: float, w: float, q: float, bsq: float) -> np.ndarray:
-    """2001 points on which the closed form falls below 1e-8 of its peak at both ends."""
+def _largest_jacobi_zero(n: int, a: float, b: float) -> float:
+    """Largest zero of P_n^(a,b), n >= 1 and a + b > 0 (Golub-Welsch)."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    # each factor a ratio of like magnitudes, so none overflows at large a
+    diag = (b - a) / s * ((b + a) / (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = 2.0 * np.sqrt(k / s * ((k + a) / s) * ((k + b) / (s + 1.0)) * ((k + a + b) / (s - 1.0)))
+    # eigvalsh reads the lower triangle only
+    return float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))[-1])
+
+
+def _r_grid(alpha: float, w: float, q: float, n: int, bsq: float) -> np.ndarray:
+    """2001 points on which the closed form falls below 1e-8 of its peak at
+    both ends; the grid ends past the outermost of its n nodes."""
     rate = 2.0 * alpha * w
     if rate <= 0.0:
         raise ExponentNotReal(f"no outer decay: beta^2 = {bsq}")
     edge_exp = 0.5 + q
     s_peak = w / (w + edge_exp)
     r_peak = -math.log(s_peak) / (2.0 * alpha)
-    r_hi = r_peak + 20.0 / rate
     u_lo = (1.0e-9) ** (1.0 / edge_exp) * max(1.0 - s_peak, 1.0e-3)
     if not u_lo < 1.0:
         raise DomainError(f"no finite grid start: 1 - exp(-2 alpha r_lo) = {u_lo}")
+    r_hi = r_peak + 20.0 / rate
+    if n:
+        # the outermost node is at the largest zero x of P_n, where
+        # s = (1 - x) / 2; a zero that rounds to 1 puts it at r = inf
+        s_node = 0.5 * (1.0 - _largest_jacobi_zero(n, 2.0 * w, 2.0 * q))
+        r_node = -math.log(s_node) / (2.0 * alpha) if s_node > 0.0 else math.inf
+        r_hi = max(r_hi, r_node + 10.0 / rate)
     r_lo = max(-math.log1p(-u_lo) / (2.0 * alpha), 1.0e-12)
     if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
         raise DomainError(f"grid ends ({r_lo}, {r_hi}) are not finite")
@@ -559,7 +569,7 @@ def assemble_wavefunction(
     e = sol.e if isinstance(sol, EnergySolution) else float(sol)
     gamma, bsq = _couplings(params, e, sym)
     w, q = _shape_exponents(params, e, kappa, symmetry)
-    r_grid = _r_grid(params.screening, w, q, bsq)
+    r_grid = _r_grid(params.screening, w, q, n, bsq)
     # where s = exp(-2 alpha r) underflows to 0 the derivative's w / s is inf;
     # the samples this leaves non-finite are counted and rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -25,7 +25,7 @@ class EnergyAtThreshold(IqyDiracError):
     """Companion-component denominator vanishes at the symmetry threshold."""
 
 
-class ExponentNotReal(IqyDiracError):
+class ExponentNotReal(NegativeRadicand):
     """A wavefunction exponent is complex for the requested energy."""
 
 

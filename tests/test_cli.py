@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iqy_dirac import cli, dirac_iqy, oracle
+from iqy_dirac import cli, dirac_iqy, oracle, reference_tables
 from iqy_dirac.cli import (
     CSV_HEADER,
     RunConfig,
@@ -461,6 +461,24 @@ class TestReproduceTables:
         assert "FAIL" not in text
         assert "# pattern_failures=0" in text
 
+    def test_pattern_failures_exit_3(self, tmp_path, monkeypatch):
+        # a spin row whose H = 0 partners differ and a pseudospin row whose
+        # H = 5 aligned member is the higher one: one failed check each
+        monkeypatch.setitem(reference_tables.SPIN_ROWS[0].e_aligned, 0.0, "0.994386")
+        monkeypatch.setitem(reference_tables.PSPIN_ROWS[0].e_aligned, 5.0, "-0.480000")
+        out = tmp_path / "report.txt"
+        assert run_main(["reproduce-tables", "--out", str(out)]) == 3
+        lines = out.read_text().splitlines()
+        assert [line for line in lines if line.startswith("pattern")] == [
+            "pattern pspin H=0 pairs equal (8): PASS",
+            "pattern spin H=0 pairs equal (8): FAIL",
+            "pattern pspin H=5 pairs split (8): PASS",
+            "pattern spin H=5 pairs split (8): PASS",
+            "pattern pspin H=5 aligned member lower: FAIL",
+            "pattern spin H=5 aligned member higher: PASS",
+        ]
+        assert lines[-1] == "# pattern_failures=2"
+
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run_main(["reproduce-tables", "--out", str(a)])
@@ -509,6 +527,9 @@ class TestExitCodes:
             ["spectrum", "--mass", "1e308"],
             ["wavefunction", "--mass", "1e200"],
             ["wavefunction", "--v0", "1e308"],
+            # the grid end at the outermost node of a degree n >= 1 dump
+            ["wavefunction", "--v0", "1e150", "--n", "1"],
+            ["wavefunction", "--mass", "1e153", "--n", "3"],
         ],
         ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
     )

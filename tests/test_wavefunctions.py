@@ -16,6 +16,7 @@ from iqy_dirac.dirac_iqy import (
 )
 from iqy_dirac.errors import DomainError, EnergyAtThreshold, ExponentNotReal
 from iqy_dirac.oracle import count_nodes
+from iqy_dirac.special_fn import DEGREE_CAP
 
 
 def caption_params(**overrides):
@@ -107,6 +108,13 @@ class TestPspinComponents:
         with pytest.raises(DomainError, match=r"^1952 of 2001 upper samples are not finite"):
             assemble_wavefunction(p, p.mass + p.c_pspin - 1e-9, 1, -1, PSPIN)
 
+    def test_node_at_infinity_rejected(self):
+        # q ~ 1e15 and w ~ 1e-5: the largest zero of P_64 rounds to x = 1,
+        # which puts the outermost node at s = 0
+        p = caption_params(tensor_h=1.0e15)
+        with pytest.raises(DomainError, match=r"^grid ends \(.*, inf\) are not finite"):
+            assemble_wavefunction(p, p.mass + p.c_pspin - 1e-6, 64, -1, PSPIN)
+
     def test_exponent_not_real_outside_domain(self):
         p = caption_params()
         with pytest.raises(ExponentNotReal):
@@ -166,6 +174,26 @@ class TestGrid:
         g = wf.lower
         assert np.abs(g[0]) < 1e-6 * np.abs(g).max()
         assert np.abs(g[-1]) < 1e-6 * np.abs(g).max()
+
+    # (symmetry, kappa, screening); at high n the envelope's peak and decay
+    # alone once ended the grid before the outer nodes
+    @pytest.mark.parametrize(
+        "symmetry,kappa,screening",
+        [
+            (PSPIN, -1, 0.01), (PSPIN, -1, 0.05), (SPIN, -2, 0.05),
+            (PSPIN, 2, 0.01), (SPIN, 1, 0.5), (PSPIN, -3, 0.2),
+        ],
+    )
+    def test_grid_holds_every_node(self, symmetry, kappa, screening):
+        p = caption_params(screening=screening)
+        checked = 0
+        for n in range(DEGREE_CAP + 1):
+            sol = select_branch_root(solve_energies(p, n, kappa, symmetry, mode="relaxed"), symmetry)
+            if sol is not None:
+                wf = assemble_wavefunction(p, sol, n, kappa, symmetry)
+                assert count_nodes(wf.dominant) == n
+                checked += 1
+        assert checked
 
 
 def test_one_closed_form_evaluation_per_dump(monkeypatch):
