@@ -14,9 +14,9 @@ The effective potential is held in the split form
 so a whole vector of trial energies marches in one pass during scans, while
 root polishing and whole-grid integration share one plain-float march.
 Neither march can serve the other's callers. On the kappa = 1 Coulomb anchor
-(12,000 grid rows; one Xeon core, Python 3.11, numpy 2.4, best of 5) one
-plain-float match takes 2.2 ms and a batched match of one energy 39 ms, but
-the batched match of a scan's 240 energies takes 57 ms, not 240 x 2.2 ms.
+(12,000 grid rows; one Xeon core, Python 3.11, numpy 2.4, best of 7) one
+plain-float match takes 1.9 ms and a batched match of one energy 23 ms, but
+the batched match of a scan's 240 energies takes 39 ms, not 240 x 1.9 ms.
 
 A family gives the energy dependence by two callables: ``couplings(e)``
 returns (gamma, beta_sq), and ``seed(gamma, beta_sq)`` the small-r power-law
@@ -28,7 +28,11 @@ large-r solution.
 A march builds its Numerov step coefficients once, before it steps: the
 plain-float march for every row it visits, the batched march in chunks of
 64 grid rows. The loops then only read them, and give the bits of a loop
-that rebuilds W at every step.
+that rebuilds W at every step. The batched march allocates its buffers
+once and writes every chunk into them. It keeps the coefficients of one
+step's two products side by side, as the pair (b_k, 2a_{k+1}), so a step
+is three array calls: one multiply of the two rows before it by the pair,
+a subtract and a divide, the reference's operations in its order.
 
 Rescaling keeps a march inside the float range. The plain-float march tests
 each sample as it goes. The batched march steps a whole chunk first and
@@ -268,12 +272,21 @@ def _inward_seed_scalar(family: ProblemFamily, g2: float) -> Tuple[float, float]
     return math.exp(-math.sqrt(g2) * family.step), 1.0
 
 
-def _step_coeffs(c0, c1, g1, g2, h2: float):
-    """Numerov coefficients a = 1 + 5 h^2 W / 12 and b = 1 - h^2 W / 12 on
-    the given grid rows, where ``h2`` is h^2 / 12; one step is
-    u_i = (2 u_{i-1} a_{i-1} - u_{i-2} b_{i-2}) / b_i."""
-    f = c0 + c1 * g1 + g2
-    return 1.0 + 5.0 * h2 * f, 1.0 - h2 * f
+def _step_coeffs(
+    c0, c1, g1, g2, h2: float, w: np.ndarray, two_a: np.ndarray, b: np.ndarray
+) -> None:
+    """Numerov step coefficients 2a = 2 + 10 h^2 W / 12 and b = 1 - h^2 W / 12
+    on the given grid rows, where ``h2`` is h^2 / 12 and W = c0 + c1 g1 + g2,
+    written into ``w``, ``two_a`` and ``b``; one step is
+    u_i = (u_{i-1} 2a_{i-1} - u_{i-2} b_{i-2}) / b_i. Doubling is exact, so
+    2a has the bits of twice 1 + 5 h^2 W / 12."""
+    np.multiply(c1, g1, out=w)
+    np.add(c0, w, out=w)
+    np.add(w, g2, out=w)
+    np.multiply(w, 10.0 * h2, out=two_a)
+    np.add(two_a, 2.0, out=two_a)
+    np.multiply(w, h2, out=b)
+    np.subtract(1.0, b, out=b)
 
 
 def _march(
@@ -294,21 +307,23 @@ def _march(
         u_prev, u_curr = _inward_seed_scalar(family, g2)
         c0, c1 = c0[::-1], c1[::-1]
     h2 = family.step * family.step / 12.0
-    a, b = _step_coeffs(c0[: stop + 1], c1[: stop + 1], g1, g2, h2)
-    a, b = a.tolist(), b.tolist()
+    w, two_a, b = np.empty((3, stop + 1))
+    _step_coeffs(c0[: stop + 1], c1[: stop + 1], g1, g2, h2, w, two_a, b)
+    two_a, b = two_a.tolist(), b.tolist()
     first = stop + 1 - keep
     kept = [u_prev, u_curr][first:]
     last_node = stop - 2
+    lo_limit, hi_limit = _UNDERFLOW_LIMIT, _OVERFLOW_LIMIT
     nodes = 0
-    steps = zip(range(2, stop + 1), a[1:stop], b[: stop - 1], b[2 : stop + 1])
-    for i, a_curr, b_prev, b_new in steps:
-        u_new = (2.0 * u_curr * a_curr - u_prev * b_prev) / b_new
+    steps = zip(range(2, stop + 1), two_a[1:stop], b[: stop - 1], b[2 : stop + 1])
+    for i, two_a_curr, b_prev, b_new in steps:
+        u_new = (u_curr * two_a_curr - u_prev * b_prev) / b_new
         if u_new * u_curr < 0.0 and i <= last_node:
             nodes += 1
         if i >= first:
             kept.append(u_new)
         mag = abs(u_new)
-        if not _UNDERFLOW_LIMIT <= mag <= _OVERFLOW_LIMIT and mag > 0.0:
+        if not lo_limit <= mag <= hi_limit and mag > 0.0:
             u_curr /= mag
             u_new /= mag
             kept = [u / mag for u in kept]
@@ -324,9 +339,9 @@ def _sweep_vec(
 
     The march fills one buffer whose row k holds the samples of grid row
     ``base + k``, ``_CHUNK_ROWS`` rows at a time, each chunk repeating the
-    last two rows of the one before. A chunk builds its step coefficients,
-    with the factor 2 folded into ``a`` (doubling is exact), before it steps
-    in place.
+    last two rows of the one before. A chunk builds its step coefficients
+    before it steps in place, three array calls per row on views built
+    before the loop; every buffer is allocated once per march.
 
     A chunk is marched to its end before its rows below the matching window
     are tested for rescaling, all in one pass. If a row has a column that
@@ -350,6 +365,13 @@ def _sweep_vec(
     nodes = np.zeros(cols, dtype=np.int64)
     buf = np.empty((_CHUNK_ROWS, cols))
     buf[1] = 1.0
+    w, two_a, b = np.empty((3, _CHUNK_ROWS, cols))
+    # row k holds (b_k, 2a_{k+1}), the coefficients of one step's two products
+    pairs = np.empty((_CHUNK_ROWS - 2, 2, cols))
+    # |u| of the rows tested for rescaling, or the sign-change products
+    scratch = np.empty((_CHUNK_ROWS, cols))
+    negative = np.empty((_CHUNK_ROWS, cols), dtype=bool)
+    prod = np.empty((2, cols))
 
     if not outward:
         if np.any(g2 <= 0.0):
@@ -367,15 +389,18 @@ def _sweep_vec(
             / (1.0 + a1 * r[1] + a2 * r[1] * r[1])
         )
     lo_i, hi_i = m_idx - 2, m_idx + 2
-    u = list(buf)
-    prod = np.empty(cols)
+    # the step to row j multiplies rows j - 2 and j - 1 by pairs[j - 2] into
+    # ``prod``, subtracts the two products into row j and divides it by b_j
+    u_b, u_two_a = prod
+    steps = list(zip(buf[2:], (buf[j - 2 : j] for j in range(2, _CHUNK_ROWS)), pairs, b[2:]))
     for base in range(0, hi_i - 1, _CHUNK_ROWS - 2):
         if base:
             buf[:2] = buf[-2:]
         stop = min(_CHUNK_ROWS, hi_i + 1 - base)
         rows = slice(base, base + stop)
-        a, b = _step_coeffs(c0[rows, None], c1[rows, None], g1, g2, h2)
-        a *= 2.0
+        _step_coeffs(c0[rows, None], c1[rows, None], g1, g2, h2, w[:stop], two_a[:stop], b[:stop])
+        pairs[: stop - 2, 0] = b[: stop - 2]
+        pairs[: stop - 2, 1] = two_a[1 : stop - 1]
         # rows from ``first_window`` on are the matching window, never rescaled
         first_window = min(max(2, lo_i - base), stop)
         # the sign changes between rows k - 1 and k <= counted are in nodes
@@ -384,14 +409,13 @@ def _sweep_vec(
         while True:
             # rows past one that needs a rescale are discarded and may overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(k, stop):
-                    np.multiply(u[j - 1], a[j - 1], out=u[j])
-                    np.multiply(u[j - 2], b[j - 2], out=prod)
-                    np.subtract(u[j], prod, out=u[j])
-                    np.divide(u[j], b[j], out=u[j])
+                for u_new, u_before, pair, b_new in steps[k - 2 : stop - 2]:
+                    np.multiply(u_before, pair, out=prod)
+                    np.subtract(u_two_a, u_b, out=u_new)
+                    np.divide(u_new, b_new, out=u_new)
             if k >= first_window:
                 break
-            mag = np.abs(buf[k:first_window])
+            mag = np.abs(buf[k:first_window], out=scratch[k:first_window])
             if mag.max() <= _OVERFLOW_LIMIT and mag.min() >= _UNDERFLOW_LIMIT:
                 break
             # NaN fails every comparison, so a NaN column never needs a rescale
@@ -400,22 +424,28 @@ def _sweep_vec(
             if not flagged.size:
                 break
             row = flagged[0]
-            k += row
-            nodes += _sign_changes(buf, counted, k)
-            counted = k
+            # taken before the sign-change count reuses ``scratch``
             factor = np.where(needs[row], 1.0 / np.maximum(mag[row], 1.0e-290), 1.0)
-            u[k - 1] *= factor
-            u[k] *= factor
+            k += row
+            nodes += _sign_changes(buf, counted, k, scratch, negative)
+            counted = k
+            buf[k - 1] *= factor
+            buf[k] *= factor
             k += 1
         window[base + first_window - lo_i : base + stop - lo_i] = buf[first_window:stop]
-        nodes += _sign_changes(buf, counted, min(stop - 1, m_idx - base))
+        nodes += _sign_changes(buf, counted, min(stop - 1, m_idx - base), scratch, negative)
     return (window if outward else window[::-1]), nodes
 
 
-def _sign_changes(buf: np.ndarray, after: int, last: int) -> np.ndarray:
+def _sign_changes(
+    buf: np.ndarray, after: int, last: int, scratch: np.ndarray, negative: np.ndarray
+) -> np.ndarray:
     """Per column, the strict sign changes between buffer rows k - 1 and k
-    for ``after < k <= last``."""
-    return np.count_nonzero(buf[after + 1 : last + 1] * buf[after:last] < 0.0, axis=0)
+    for ``after < k <= last``, with the products in ``scratch`` and their
+    signs in ``negative``."""
+    count = max(last - after, 0)
+    products = np.multiply(buf[after + 1 : last + 1], buf[after:last], out=scratch[:count])
+    return np.count_nonzero(np.less(products, 0.0, out=negative[:count]), axis=0)
 
 
 def _mismatch_from_windows(win_o, win_i, h: float):
@@ -504,8 +534,12 @@ def _scan(
     """Checks the arguments, then marches the padded energy grid in one
     batch; None when W never turns negative."""
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window must be finite, got {window}")
     if not hi > lo:
         raise ValueError(f"bad window ({lo}, {hi})")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"window ({lo}, {hi}) is wider than the largest float")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if scan_points < 2:

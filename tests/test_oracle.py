@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -512,6 +513,24 @@ class TestReferenceLoop:
             self._same(nodes, ref_nodes)
             assert ref_nodes.min() >= 5
 
+    @pytest.mark.parametrize("cols", [1, 240])
+    @pytest.mark.parametrize("name", ["coulomb_k1", "coulomb_k2", "spin"])
+    def test_scan_shapes_bit_identical(self, name, cols):
+        # a scan marches 240 energies at its window's automatic match index,
+        # and the views each step reads are built for the batch's column count
+        family, _ = self._case(name)
+        if name == "spin":
+            window = scan_window(caption_params(screening=0.1), 0, -2, SPIN)
+        else:
+            window = (-0.999, -0.02)
+        energies = np.linspace(*window, cols + 2)[1:-1]
+        m_idx = _match_index(family, window)
+        for outward in (True, False):
+            samples, nodes = _sweep_vec(family, energies, m_idx, outward)
+            ref_samples, ref_nodes = _reference_sweep(family, energies, m_idx, outward)
+            self._same(samples, ref_samples)
+            self._same(nodes, ref_nodes)
+
     def test_infinite_sample_counted_before_rescale(self):
         # b = 1 - h^2 W / 12 is exactly 0 at one grid row, so the march
         # divides by zero there: the infinite sample and its sign change
@@ -634,6 +653,25 @@ class TestChunkedRescale:
             for outward, m_idx in self._marches(family):
                 _, first = self._check(family, np.array([119880.0, 1.0e4]), m_idx, outward)
                 assert first[0] < first[1]
+
+
+class TestChunkMemory:
+    """The batched march keeps only chunk-sized buffers: coefficients for
+    the whole 12,000-row grid at 240 energies would take 23 MB."""
+
+    def test_scan_march_peak_below_2mb(self):
+        family = coulomb_family(1.0, -1.0, 1)
+        window = (-0.999, -0.02)
+        energies = np.linspace(*window, 240)
+        m_idx = _match_index(family, window)
+        _match_vec(family, energies, m_idx)
+        tracemalloc.start()
+        try:
+            _match_vec(family, energies, m_idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6
 
 
 def _reference_scan(family, window, tol=1e-10, scan_points=240):
@@ -771,9 +809,27 @@ class TestInputChecks:
         def no_march(*args):
             raise AssertionError("marched before checking the arguments")
 
+        monkeypatch.setattr(oracle, "_match_index", no_march)
         monkeypatch.setattr(oracle, "_match_vec", no_march)
         monkeypatch.setattr(oracle, "_march", no_march)
         return coulomb_family(1.0, -1.0, 1)
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            # the family has roots at -0.6 and -0.882 inside each window
+            ((-0.999, math.inf), "window must be finite"),
+            ((-math.inf, -0.02), "window must be finite"),
+            ((-1.0e308, 1.0e308), "wider than the largest float"),
+        ],
+    )
+    @pytest.mark.parametrize("shoot", [False, True])
+    def test_window_finite(self, family, shoot, window, message):
+        with pytest.raises(ValueError, match=message):
+            if shoot:
+                shoot_eigenvalue(family, window, 0)
+            else:
+                scan_eigenvalues(family, window)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("shoot", [False, True])
