@@ -12,6 +12,7 @@ failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -170,7 +171,8 @@ _OPTIONS = {
 
 def load_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which editors may write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
@@ -258,17 +260,19 @@ def _rows_to_json(rows: Sequence[dict]) -> str:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    keys = [
-        (n, kappa, h)
+    # one frozen PhysicalParams per H value, shared by all its (n, kappa) states
+    per_h = [(h, cfg.physical(h)) for h in cfg.tensor_h]
+    states = [
+        (n, kappa, h, params)
         for n in range(cfg.n_min, cfg.n_max + 1)
         for kappa in cfg.kappas
-        for h in cfg.tensor_h
+        for h, params in per_h
     ]
     solved = solve_batch(
-        [(cfg.physical(h), n, kappa) for n, kappa, h in keys],
+        [(params, n, kappa) for n, kappa, _, params in states],
         cfg.symmetry, window=cfg.window, tol=cfg.tol, mode="relaxed",
     )
-    rows = [_spectrum_row(cfg, *key, sols) for key, sols in zip(keys, solved)]
+    rows = [_spectrum_row(cfg, n, kappa, h, sols) for (n, kappa, h, _), sols in zip(states, solved)]
     rows.sort(key=lambda r: (r["symmetry"], r["n_nu"], r["kappa"], r["H"]))
     text = _rows_to_csv(rows) if cfg.fmt == "csv" else _rows_to_json(rows)
     _write_text(cfg.out, text)
@@ -527,6 +531,16 @@ def cmd_reproduce_tables(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand and its options.
+
+    ``main`` builds it once per process, on its first call, and reuses it
+    (``_cached_parser``): a build makes four subparsers that each copy the
+    common options, a sizeable share of an in-process spectrum command, and
+    nothing in it depends on argv. Reuse carries no state from
+    one call to the next: ``parse_args`` leaves the parser as it was, and the
+    one list option, ``--tensor-h``, appends to a fresh list because its
+    default is None. Each subcommand's ``run`` is bound at that first build.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value configuration file")
     for key, (_, _, flag_keywords) in _OPTIONS.items():
@@ -547,6 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_cached_parser = functools.cache(build_parser)
+
 _VALUE_FLAGS = {"--config", "--n", "--single-kappa", *("--" + key.replace("_", "-") for key in _OPTIONS)}
 
 
@@ -564,7 +580,7 @@ def _join_list_flags(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(_join_list_flags(sys.argv[1:] if argv is None else list(argv)))
+    args = _cached_parser().parse_args(_join_list_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.run(build_config(args))
     except IoError as exc:

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +82,14 @@ class TestConfig:
         path.write_text("just words\n")
         with pytest.raises(ConfigError):
             load_config_file(str(path))
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfmass = 4.0\nkappa = -1\n")
+        assert run_main(["spectrum", "--config", str(path)]) == 0
+        with_bom = capsys.readouterr()
+        assert run_main(["spectrum", "--mass", "4.0", "--kappa", "-1"]) == 0
+        assert with_bom == capsys.readouterr()
 
     def test_window_parsing(self):
         parser = build_parser()
@@ -231,6 +242,16 @@ class TestSpectrum:
         assert run_main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_duplicate_kappa_and_h_rows(self, capsys):
+        # each listed (kappa, H) is its own state, even when values repeat
+        assert run_main(["spectrum", "--kappa", "-1,-1", "--tensor-h", "0,0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3 * 4
+        for n in range(3):
+            block = rows[4 * n : 4 * n + 4]
+            assert block[0].startswith(f"pspin,{n},")
+            assert block == [block[0]] * 4
+
     def test_json_mirrors_csv(self, tmp_path):
         argv = [
             "spectrum", "--symmetry", "spin", "--n-min", "0", "--n-max", "0",
@@ -285,6 +306,52 @@ class TestSpectrum:
         assert len(rows) == 2
         assert rows[1].startswith("pspin,0,-1,2,")
         assert rows[1].endswith(",false")
+
+
+class TestRepeatedCalls:
+    """Calls of main in one process share one parser; each prints what the
+    same argv prints in a fresh interpreter."""
+
+    @staticmethod
+    def in_process(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @staticmethod
+    def fresh_process(argv, env):
+        done = subprocess.run(
+            [sys.executable, "-m", "iqy_dirac.cli", *argv], capture_output=True, text=True, env=env,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_sequence_equals_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # argparse wraps usage text to COLUMNS; both sides read the same value
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        config = tmp_path / "run.cfg"
+        config.write_text("symmetry = spin\nkappa = -2,1\ntensor_h = 0.5\n")
+        sequence = [
+            ["spectrum", "--tensor-h", "0", "--tensor-h", "5"],
+            ["spectrum", "--tensor-h", "5"],  # the appended list starts empty again
+            ["wavefunction", "--n", "1", "--single-kappa", "-1"],
+            ["spectrum"],
+            ["spectrum", "--config", str(config)],
+            ["spectrum"],
+            ["spectrum", "--format", "json"],
+            ["spectrum"],
+            ["spectrum", "--bogus"],
+            ["spectrum", "--n-max", "0"],
+        ]
+        results = [self.in_process(argv, capsys) for argv in sequence]
+        assert [code for code, _, _ in results] == [0] * 8 + [2, 0]
+        for argv, result in zip(sequence, results):
+            assert result == self.fresh_process(argv, env), argv
+        assert cli._cached_parser.cache_info().misses == 1
 
 
 class TestWavefunction:
