@@ -261,19 +261,19 @@ def _rows_to_json(rows: Sequence[dict]) -> str:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     # one frozen PhysicalParams per H value, shared by all its (n, kappa) states
-    per_h = [(h, cfg.physical(h)) for h in cfg.tensor_h]
-    states = [
-        (n, kappa, h, params)
-        for n in range(cfg.n_min, cfg.n_max + 1)
-        for kappa in cfg.kappas
-        for h, params in per_h
-    ]
-    solved = solve_batch(
-        [(params, n, kappa) for n, kappa, _, params in states],
-        cfg.symmetry, window=cfg.window, tol=cfg.tol, mode="relaxed",
+    per_h = [cfg.physical(h) for h in cfg.tensor_h]
+    # the states in row order, (n, kappa, H); a stable sort, not nested sorted
+    # loops, keeps the rows of a repeated kappa together for each H
+    n_range = range(cfg.n_min, cfg.n_max + 1)
+    states = sorted(
+        ((params, n, kappa) for n in n_range for kappa in cfg.kappas for params in per_h),
+        key=lambda state: (state[1], state[2], state[0].tensor_h),
     )
-    rows = [_spectrum_row(cfg, n, kappa, h, sols) for (n, kappa, h, _), sols in zip(states, solved)]
-    rows.sort(key=lambda r: (r["symmetry"], r["n_nu"], r["kappa"], r["H"]))
+    solved = solve_batch(states, cfg.symmetry, window=cfg.window, tol=cfg.tol, mode="relaxed")
+    rows = [
+        _spectrum_row(cfg, n, kappa, params.tensor_h, sols)
+        for (params, n, kappa), sols in zip(states, solved)
+    ]
     text = _rows_to_csv(rows) if cfg.fmt == "csv" else _rows_to_json(rows)
     _write_text(cfg.out, text)
     return 0

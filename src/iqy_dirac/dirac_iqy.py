@@ -8,9 +8,11 @@ energy. Two residual forms are provided:
 
 * ``energy_residual_raw``   -- the quantization condition as printed, with the
   principal (nonnegative) square root of beta^2.
-* ``energy_residual_rearranged`` -- an algebraically equivalent squared form
-  that stays smooth across the window and carries a sign flag separating true
-  roots from spurious squared ones.
+* ``energy_residual_rearranged`` -- the squared form, smooth across the
+  window, with a flag that is the numeric sign of t = gamma*V0 + P^2. A root
+  of the printed condition needs t <= 0, and the proof in ``solve_energies``
+  shows t > 0, so the flag separates no roots: it is the property that proof
+  is tested against, and it rounds the wrong way once |gamma*V0| nears 1e30.
 
 Spin and pseudospin symmetry share every formula. A frozen ``Symmetry``
 record per symmetry holds the sign s of the mass term (-1 pseudospin, +1

@@ -82,22 +82,18 @@ def energy_residual(d: NUDerived, c: NUCoefficients, n: int, branch: Branch = "f
     """Quantization residual at polynomial degree n; zero at an eigenvalue."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    sqrt_a8 = _safe_sqrt(d.a8, "a8")
+    # +1 on the first branch, -1 on the second; it multiplies every square
+    # root that holds a8, and negation is exact, so each branch keeps its bits
+    sign = 1.0 if branch == "first" else -1.0
+    sqrt_a8 = sign * _safe_sqrt(d.a8, "a8")
     sqrt_a9 = _safe_sqrt(d.a9, "a9")
-    cross = _safe_sqrt(d.a8 * d.a9, "a8*a9")
+    cross = sign * _safe_sqrt(d.a8 * d.a9, "a8*a9")
     common = c.a2 * n + n * (n - 1.0) * c.a3 + d.a7 + 2.0 * c.a3 * d.a8
-    if branch == "first":
-        return (
-            common
-            - (2.0 * n + 1.0) * d.a5
-            + (2.0 * n + 1.0) * (sqrt_a9 + c.a3 * sqrt_a8)
-            + 2.0 * cross
-        )
     return (
         common
-        - (2.0 * n - 1.0) * d.a5
-        + (2.0 * n + 1.0) * (sqrt_a9 - c.a3 * sqrt_a8)
-        - 2.0 * cross
+        - (2.0 * n + sign) * d.a5
+        + (2.0 * n + 1.0) * (sqrt_a9 + c.a3 * sqrt_a8)
+        + 2.0 * cross
     )
 
 
@@ -105,18 +101,13 @@ def wavefunction_parameters(
     d: NUDerived, c: NUCoefficients, branch: Branch = "first"
 ) -> Tuple[float, float, float, float]:
     """Exponents and Jacobi/Laguerre parameters (a10, a11, a12, a13)."""
-    sqrt_a8 = _safe_sqrt(d.a8, "a8")
+    sign = 1.0 if branch == "first" else -1.0
+    sqrt_a8 = sign * _safe_sqrt(d.a8, "a8")
     sqrt_a9 = _safe_sqrt(d.a9, "a9")
-    if branch == "first":
-        a10 = c.a1 + 2.0 * d.a4 + 2.0 * sqrt_a8
-        a11 = c.a2 - 2.0 * d.a5 + 2.0 * (sqrt_a9 + c.a3 * sqrt_a8)
-        a12 = d.a4 + sqrt_a8
-        a13 = d.a5 - (sqrt_a9 + c.a3 * sqrt_a8)
-    else:
-        a10 = c.a1 + 2.0 * d.a4 - 2.0 * sqrt_a8
-        a11 = c.a2 - 2.0 * d.a5 + 2.0 * (sqrt_a9 - c.a3 * sqrt_a8)
-        a12 = d.a4 - sqrt_a8
-        a13 = d.a5 - (sqrt_a9 - c.a3 * sqrt_a8)
+    a10 = c.a1 + 2.0 * d.a4 + 2.0 * sqrt_a8
+    a11 = c.a2 - 2.0 * d.a5 + 2.0 * (sqrt_a9 + c.a3 * sqrt_a8)
+    a12 = d.a4 + sqrt_a8
+    a13 = d.a5 - (sqrt_a9 + c.a3 * sqrt_a8)
     return a10, a11, a12, a13
 
 

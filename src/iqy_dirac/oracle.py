@@ -259,11 +259,13 @@ def _outward_seed_scalar(family: ProblemFamily, e: float) -> Tuple[float, float]
         return 0.0, 1.0
     index, a1, a2 = map(float, _seed_series(family, e))
     r0, r1 = family.r[0], family.r[1]
-    u0 = r0**index * (1.0 + a1 * r0 + a2 * r0 * r0)
-    u1 = r1**index * (1.0 + a1 * r1 + a2 * r1 * r1)
-    if u1 != 0.0:
-        u0, u1 = u0 / u1, 1.0
-    return float(u0), float(u1)
+    p0 = 1.0 + a1 * r0 + a2 * r0 * r0
+    p1 = 1.0 + a1 * r1 + a2 * r1 * r1
+    u1 = r1**index * p1
+    # the batched march's ratio form moves crosscheck_spin.txt's |dE| cells in
+    # the 9th digit, so it serves only where r1**index underflows to zero
+    u0 = r0**index * p0 / u1 if u1 != 0.0 else (r0 / r1) ** index * p0 / p1
+    return float(u0), 1.0
 
 
 def _inward_seed_scalar(family: ProblemFamily, g2: float) -> Tuple[float, float]:

@@ -153,6 +153,14 @@ class TestIntegration:
         with pytest.raises(SeedUndefined):
             integrate_outward(family, 0.0)
 
+    def test_outward_seed_past_underflow(self):
+        # index ~475, so r[1] ** index underflows to zero; the march must
+        # still start from the ratio of the two seed samples
+        family = pspin_family(caption_params(v0=1.0e5), -1)
+        assert float(oracle._seed_series(family, -2.75)[0]) > 400.0
+        _, u = integrate_outward(family, -2.75)
+        assert np.all(np.isfinite(u)) and np.count_nonzero(u) > len(u) // 2
+
 
 class TestCoulombAnchor:
     WINDOW = (-0.999, -0.02)
@@ -309,15 +317,20 @@ class TestKernels:
         p = caption_params(screening=0.1)
         if name == "spin":
             return spin_family(p, -2), scan_window(p, 0, -2, SPIN)
+        if name == "underflowing_seed":
+            p = caption_params(v0=1.0e5)
+            return pspin_family(p, -1), scan_window(p, 0, -1, PSPIN)
         family = spin_family(p, -2, r_min=0.05, r_max=15.0, step=1e-3, hard_wall=True)
         return family, (3.5, 4.9)
 
-    @pytest.mark.parametrize("name", ["coulomb", "spin", "hard_wall"])
+    @pytest.mark.parametrize("name", ["coulomb", "spin", "hard_wall", "underflowing_seed"])
     def test_scalar_and_batched_match_agree(self, name):
         family, (lo, hi) = self._case(name)
-        # the automatic match point and one that leaves both marches long
+        # the automatic match point and one that leaves both marches long;
+        # W >= 0 over the underflowing-seed window, which has no automatic one
         energies = np.linspace(lo, hi, 9)[1:-1]
-        for m_idx in (_match_index(family, (lo, hi)), len(family.r) // 2):
+        m_indices = (_match_index(family, (lo, hi)), len(family.r) // 2)
+        for m_idx in [m for m in m_indices if m is not None]:
             f_batched, nodes_batched = _match_vec(family, energies, m_idx)
             for e, f_b, nodes_b in zip(energies, f_batched, nodes_batched):
                 f_scalar, nodes_scalar = _match_scalar(family, float(e), m_idx)
