@@ -126,25 +126,19 @@ def _json_cell(value):
     return _round9(value)
 
 
+# Each parser raises ValueError on bad text, which build_config reports as
+# a bad value for its key.
 def _parse_floats(text: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
+    return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _parse_ints(text: str) -> List[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+    return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _parse_window(text: str) -> Tuple[float, float]:
-    parts = _parse_floats(text)
-    if len(parts) != 2:
-        raise ConfigError(f"window needs two numbers, got {text!r}")
-    return parts[0], parts[1]
+    lo, hi = _parse_floats(text)  # unpacking raises ValueError unless two numbers
+    return lo, hi
 
 
 # Every common option once: config-file key -> (RunConfig field, parser of its

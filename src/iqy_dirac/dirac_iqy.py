@@ -328,10 +328,13 @@ def scan_window(
         w_lo, w_hi = window
         if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
             raise ValueError(f"window must be finite, got {window}")
-        if w_hi <= lo or w_lo >= hi:
-            raise EmptyWindow(f"window ({w_lo}, {w_hi}) outside strict domain ({lo}, {hi})")
         if w_lo >= w_hi:
             raise ValueError(f"window needs lo < hi, got {window}")
+        if w_hi <= lo or w_lo >= hi:
+            raise EmptyWindow(
+                f"window ({w_lo}, {w_hi}) outside the scan interval ({lo}, {hi}) of "
+                f"{symmetry} kappa={kappa} H={params.tensor_h}"
+            )
         lo, hi = max(lo, w_lo), min(hi, w_hi)
     lo += WINDOW_MARGIN
     hi -= WINDOW_MARGIN

@@ -30,7 +30,7 @@ class ExponentNotReal(NegativeRadicand):
 
 
 class EmptyWindow(IqyDiracError):
-    """Requested energy window lies outside the strict bound-state domain."""
+    """Requested energy window misses a state's scan interval, or the strict domain is empty."""
 
 
 class NoRoot(IqyDiracError):

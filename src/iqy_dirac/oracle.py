@@ -18,12 +18,13 @@ Neither march can serve the other's callers. On the kappa = 1 Coulomb anchor
 plain-float match takes 1.9 ms and a batched match of one energy 23 ms, but
 the batched match of a scan's 240 energies takes 39 ms, not 240 x 1.9 ms.
 
-A family gives the energy dependence by two callables: ``couplings(e)``
-returns (gamma, beta_sq), and ``seed(gamma, beta_sq)`` the small-r power-law
-index and the 1/r and constant coefficients of W that seed the outward
-march. Each march is written in one direction: an inward march is the
-outward recurrence run over the reversed grid, seeded with the decaying
-large-r solution.
+A family gives the radial dependence by one callable, ``coefficients(r)``,
+which returns (c0, c1) and is evaluated once on the grid, and the energy
+dependence by two: ``couplings(e)`` returns (gamma, beta_sq), and
+``seed(gamma, beta_sq)`` the small-r power-law index and the 1/r and
+constant coefficients of W that seed the outward march. Each march is
+written in one direction: an inward march is the outward recurrence run
+over the reversed grid, seeded with the decaying large-r solution.
 
 A march builds its Numerov step coefficients once, before it steps: the
 plain-float march for every row it visits, the batched march in chunks of
@@ -85,8 +86,9 @@ _SCAN_POINTS = 240
 class ProblemFamily:
     """Radial problem parameterized by the trial energy.
 
-    The energy enters only through two callables, each taking a float or an
-    array of energies:
+    The radial dependence is one callable, ``coefficients(r) -> (c0, c1)``,
+    evaluated once on the grid into ``_c0`` and ``_c1``. The energy enters
+    only through two callables, each taking a float or an array of energies:
 
     - ``couplings(e) -> (gamma, beta_sq)``, the factors of W's split form;
     - ``seed(gamma, beta_sq) -> (nu, w1, w0)``, the power-law index of the
@@ -96,8 +98,7 @@ class ProblemFamily:
       grid-convergence tolerance even for slowly suppressed indices.
     """
 
-    c0_fn: Callable[[np.ndarray], np.ndarray]
-    c1_fn: Callable[[np.ndarray], np.ndarray]
+    coefficients: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     couplings: Callable
     seed: Callable
     r_min: float
@@ -118,8 +119,7 @@ class ProblemFamily:
         if count < 16:
             raise ValueError(f"grid too short ({count} points)")
         self.r = self.r_min + self.step * np.arange(count)
-        self._c0 = np.asarray(self.c0_fn(self.r), dtype=float)
-        self._c1 = np.asarray(self.c1_fn(self.r), dtype=float)
+        self._c0, self._c1 = (np.asarray(c, dtype=float) for c in self.coefficients(self.r))
 
     def effective_potential(self, e: float) -> np.ndarray:
         """W(r, e) on the family's grid, from the cached coefficients."""
@@ -129,18 +129,6 @@ class ProblemFamily:
 
 # ---------------------------------------------------------------------------
 # Family constructors
-
-
-def _centrifugal_fn(screening: float, approximate: bool) -> Callable:
-    if not approximate:
-        return lambda r: 1.0 / (r * r)
-
-    def approx(r):
-        s = np.exp(-2.0 * screening * r)
-        one_minus = -np.expm1(-2.0 * screening * r)
-        return 4.0 * screening**2 * s / one_minus**2
-
-    return approx
 
 
 def iqy_family(
@@ -158,13 +146,14 @@ def iqy_family(
     alpha = params.screening
     h = step if step is not None else 1.0e-3 / alpha
     shifted = effective_centrifugal(kappa, params.tensor_h, symmetry)
-    cent = _centrifugal_fn(alpha, approximate)
 
-    def c0_fn(r):
-        return shifted * (shifted - 1.0) * cent(r)
-
-    def c1_fn(r):
-        return -params.v0 * np.exp(-2.0 * alpha * r) * cent(r)
+    def coefficients(r):
+        x = -2.0 * alpha * r
+        s = np.exp(x)
+        # the Greene-Aldrich factor 4 alpha^2 s / (1 - s)^2 stands for 1/r^2;
+        # expm1 keeps 1 - s accurate at small r
+        cent = 4.0 * alpha**2 * s / np.expm1(x) ** 2 if approximate else 1.0 / (r * r)
+        return shifted * (shifted - 1.0) * cent, -params.v0 * s * cent
 
     sym = symmetry_record(symmetry)
 
@@ -183,8 +172,7 @@ def iqy_family(
         return 0.5 + np.sqrt(rad), w1, w0
 
     return ProblemFamily(
-        c0_fn=c0_fn,
-        c1_fn=c1_fn,
+        coefficients=coefficients,
         couplings=couplings,
         seed=seed,
         r_min=r_min if r_min is not None else h,
@@ -210,11 +198,8 @@ def coulomb_family(
     """Pseudospin-type problem with a pure 1/r coupling; exactly solvable
     anchor used to validate the shooting machinery on a nonempty spectrum."""
 
-    def c0_fn(r):
-        return kappa * (kappa - 1.0) / (r * r)
-
-    def c1_fn(r):
-        return -b_coeff / r
+    def coefficients(r):
+        return kappa * (kappa - 1.0) / (r * r), -b_coeff / r
 
     def couplings(e):
         return e - mass, (mass + e) * (mass - e)
@@ -225,8 +210,7 @@ def coulomb_family(
         return index + 0.0 * np.asarray(gamma, dtype=float), -b_coeff * gamma, bsq
 
     return ProblemFamily(
-        c0_fn=c0_fn,
-        c1_fn=c1_fn,
+        coefficients=coefficients,
         couplings=couplings,
         seed=seed,
         r_min=step,

@@ -187,6 +187,19 @@ class TestOptionTable:
         assert run_main(["spectrum", flag(key), "abc"]) == 2
         assert capsys.readouterr().err == f"error: bad value for {key}: 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [("kappa", "1,x"), ("tensor_h", "0,x"), ("window", "1"), ("window", "1,2,3"), ("window", "1,x")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_list_value_exits_2(self, key, text, source, tmp_path, capsys):
+        if source == "flag":
+            argv = [flag(key), text]
+        else:
+            argv = ["--config", write_config(tmp_path, {key: text})]
+        assert run_main(["spectrum", *argv]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {key}: {text!r}\n"
+
     def test_negative_exponent_form_after_a_space(self, tmp_path, capsys):
         # argparse takes '-5.5e0' for an option unless it is folded into the flag
         outputs = []
@@ -635,6 +648,13 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_empty_window_names_the_state(self, capsys):
+        argv = ["--symmetry", "spin", "--kappa", "-1,1", "--tensor-h", "0", "--window", "3.5,4"]
+        assert run_main(["spectrum", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "error: window (3.5, 4.0) outside the scan interval (1.0, 1.25) of spin kappa=-1 H=0.0\n"
+        )
+
     @pytest.mark.parametrize(
         "flag", [["--n=-1"], ["--single-kappa=0"]], ids=lambda flag: flag[0].lstrip("-")
     )
@@ -708,6 +728,24 @@ class TestExitCodes:
         assert code == 2
         assert err == f"error: {command} writes a text report; --format json is not supported\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_format_exits_2(self, source, tmp_path, capsys):
+        argv = ["--format", "xml"]
+        if source == "config":
+            argv = ["--config", write_config(tmp_path, {"format": "xml"})]
+        out = tmp_path / "out.txt"
+        assert run_main(["spectrum", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: format must be csv or json, got 'xml'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exits_4(self, kind, tmp_path, capsys):
+        path = tmp_path / "missing.cfg" if kind == "missing" else tmp_path
+        assert run_main(["spectrum", "--config", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read config {path}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_bad_symmetry_in_config_exits_2(self, tmp_path):
         cfg_file = tmp_path / "r.cfg"

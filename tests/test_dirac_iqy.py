@@ -29,6 +29,7 @@ from iqy_dirac.dirac_iqy import (
     solve_batch,
     solve_energies,
     strict_window,
+    symmetry_record,
 )
 from iqy_dirac.errors import EmptyWindow, NegativeRadicand, NonpositiveR, ZeroKappa
 from iqy_dirac.nu_engine import derive_parameters
@@ -481,8 +482,8 @@ BATCH_WINDOW = st.one_of(
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
-    except EmptyWindow as exc:
-        return f"EmptyWindow: {exc}"
+    except (EmptyWindow, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestBatchedSolve:
@@ -518,6 +519,9 @@ class TestBatchedSolve:
              rows=[(1.0, 0.05, 0.5, 0, -1), (1.0, 0.05, 0.3, 1, -2)], window=None, tol=1e-12)
     @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=PSPIN,
              rows=[(1.0, 0.05, 5.464, 1, 3), (1.0, 0.05, 0.0, 1, -1)], window="sliver", tol=1e-6)
+    # both fractions round to the domain's lower end: a window with lo >= hi
+    @example(mass=1.0, cs_ratio=0.0, cps_ratio=0.0, symmetry=PSPIN,
+             rows=[(0.0, 1.0, 0.0, 0, 1)], window=(-3.6398099693107306e-67, 0.0), tol=1e-12)
     def test_batch_matches_each_state_alone(
         self, mass, cs_ratio, cps_ratio, symmetry, rows, window, tol
     ):
@@ -528,7 +532,7 @@ class TestBatchedSolve:
 
         got = _outcome(solve_batch, states, symmetry, window, tol, "relaxed")
         assert got == _outcome(alone)
-        if not got.startswith("EmptyWindow"):
+        if not got.startswith(("EmptyWindow", "ValueError")):
             want = [reference_solve(p, n, k, symmetry, window, tol) for p, n, k in states]
             assert got == repr(want)
 
@@ -570,6 +574,29 @@ class TestBatchedSolve:
             solve_energies(caption_params(), 1, -1, PSPIN, window=window, mode=mode)
         with pytest.raises(ValueError, match="window needs lo < hi"):
             scan_window(caption_params(), 1, -1, PSPIN, window)
+
+    def test_rejects_bad_mode(self):
+        with pytest.raises(ValueError, match="mode must be 'strict' or 'relaxed', got 'loose'"):
+            solve_batch([(caption_params(), 1, -1)], PSPIN, mode="loose")
+
+    def test_rejects_unknown_symmetry(self):
+        with pytest.raises(ValueError, match="symmetry must be 'pspin' or 'spin', got 'sideways'"):
+            symmetry_record("sideways")
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("mass", 0.0, "mass must be positive"),
+            ("mass", -5.0, "mass must be positive"),
+            ("v0", -1.0, "v0 must be nonnegative"),
+            ("screening", 0.0, "screening must be positive"),
+            ("screening", -0.05, "screening must be positive"),
+            ("tensor_h", -0.5, "tensor_h must be nonnegative"),
+        ],
+    )
+    def test_rejects_unphysical_params(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            caption_params(**{name: value})
 
     def test_scalar_square_moves_the_residual(self):
         # (lambda - 1/2)^2 at H = 5.464, kappa = 3 differs between pow() and
@@ -683,6 +710,12 @@ class TestDoubletSplitting:
         assert partner_kappa(-2, 0.0, SPIN) == 1
         assert partner_kappa(1, 0.0, SPIN) == -2
 
+    @pytest.mark.parametrize("symmetry", [PSPIN, SPIN])
+    def test_partner_needs_integer_2h(self, symmetry):
+        # -s - 2H - kappa is no kappa when 2H is not an integer
+        with pytest.raises(ValueError, match="partner kappa .* is not an integer"):
+            partner_kappa(-1, 0.3, symmetry)
+
 
 class TestGreeneAldrich:
     def test_worked_example(self):
@@ -718,6 +751,11 @@ class TestGreeneAldrich:
         with pytest.raises(NonpositiveR):
             greene_aldrich(-1.0, 0.05)
 
+    @pytest.mark.parametrize("screening", [0.0, -0.05])
+    def test_nonpositive_screening(self, screening):
+        with pytest.raises(ValueError, match="screening must be positive"):
+            greene_aldrich(1.0, screening)
+
 
 class TestScanWindow:
     def test_spin_cap_limits_window(self):
@@ -733,3 +771,18 @@ class TestScanWindow:
         lo, hi = scan_window(p, 1, -1, PSPIN)
         assert lo == pytest.approx(-5.0, abs=1e-8)
         assert hi == pytest.approx(-0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("window", [(10.0, -10.0), (-10.0, -20.0), (7.0, 7.0)])
+    def test_reversed_window_off_the_domain(self, window):
+        # lo >= hi is checked before the overlap with the domain (-5, -0.5)
+        with pytest.raises(ValueError, match="window needs lo < hi"):
+            scan_window(caption_params(), 0, -1, PSPIN, window)
+
+    def test_empty_window_names_the_state(self):
+        # (1.0, 1.25) is kappa -1's interval, the strict domain (1, 5)
+        # capped at the inner-root limit
+        with pytest.raises(EmptyWindow) as exc:
+            scan_window(caption_params(), 0, -1, SPIN, (3.5, 4.0))
+        assert str(exc.value) == (
+            "window (3.5, 4.0) outside the scan interval (1.0, 1.25) of spin kappa=-1 H=0.0"
+        )

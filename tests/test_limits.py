@@ -144,6 +144,11 @@ class TestMieResidual:
         with pytest.raises(NegativeRadicand):
             mie_energy_residual(1.0, 0.0, steep, 0, 1, -0.5)
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_n(self, n):
+        with pytest.raises(ValueError, match=f"n must be nonnegative, got {n}"):
+            mie_energy_residual(1.0, 0.0, MieParams(0.0, -1.0, 0.0), n, 1, -0.5)
+
 
 class TestLimitCoherence:
     SCREENINGS = (0.02, 0.01, 0.005)

@@ -14,6 +14,7 @@ from iqy_dirac.dirac_iqy import (
     _closed_form,
     _shape_exponents,
     assemble_wavefunction,
+    effective_centrifugal,
     scan_window,
     select_branch_root,
     solve_energies,
@@ -64,8 +65,7 @@ def fixed_match_index(monkeypatch, idx):
 
 def constant_family(beta_sq=1.0, index=1.0, c0=None, r_min=1e-4, r_max=3.0, step=1e-4):
     return ProblemFamily(
-        c0_fn=(lambda r: 0.0 * r) if c0 is None else c0,
-        c1_fn=lambda r: 0.0 * r,
+        coefficients=lambda r: (0.0 * r if c0 is None else c0(r), 0.0 * r),
         couplings=lambda e: (0.0 * np.asarray(e), beta_sq + 0.0 * np.asarray(e)),
         seed=lambda gamma, bsq: (index + 0.0 * gamma, 0.0 * gamma, 0.0 * gamma),
         r_min=r_min,
@@ -140,10 +140,13 @@ class TestIntegration:
         with pytest.raises(SeedUndefined):
             integrate_inward(family, 0.0)
 
+    def test_batched_inward_seed_undefined(self):
+        with pytest.raises(SeedUndefined, match="no decaying large-r seed"):
+            scan_eigenvalues(constant_family(beta_sq=-1.0), (0.0, 1.0))
+
     def test_outward_seed_undefined_for_complex_index(self):
         family = ProblemFamily(
-            c0_fn=lambda r: -1.0 / (r * r),
-            c1_fn=lambda r: 0.0 * r,
+            coefficients=lambda r: (-1.0 / (r * r), 0.0 * r),
             couplings=lambda e: (0.0 * np.asarray(e), 1.0 + 0.0 * np.asarray(e)),
             seed=lambda gamma, bsq: (np.nan + 0.0 * gamma, 0.0 * gamma, 0.0 * gamma),
             r_min=1e-3,
@@ -437,8 +440,7 @@ def _sqrt_energy_family(hard_wall=False, nan_above=None):
         return (0.0 * e if nan_above is None else np.where(e > nan_above, np.nan, 0.0)), e
 
     return ProblemFamily(
-        c0_fn=lambda r: 0.0 * r,
-        c1_fn=lambda r: 1.0 + 0.0 * r,
+        coefficients=lambda r: (0.0 * r, 1.0 + 0.0 * r),
         couplings=couplings,
         seed=lambda gamma, bsq: (1.0 + 0.0 * bsq, 0.0 * bsq, 0.0 * bsq),
         r_min=1e-2,
@@ -557,8 +559,7 @@ class TestReferenceLoop:
             return w
 
         family = ProblemFamily(
-            c0_fn=c0,
-            c1_fn=lambda r: 0.0 * r,
+            coefficients=lambda r: (c0(r), 0.0 * r),
             # the index equals the energy; c1 = 0 keeps gamma out of W
             couplings=lambda e: (np.asarray(e, dtype=float), 0.0 * np.asarray(e)),
             seed=lambda gamma, bsq: (gamma, 0.0 * gamma, 0.0 * gamma),
@@ -834,6 +835,8 @@ class TestInputChecks:
             ((-0.999, math.inf), "window must be finite"),
             ((-math.inf, -0.02), "window must be finite"),
             ((-1.0e308, 1.0e308), "wider than the largest float"),
+            ((-0.02, -0.999), "bad window"),
+            ((-0.5, -0.5), "bad window"),
         ],
     )
     @pytest.mark.parametrize("shoot", [False, True])
@@ -843,6 +846,21 @@ class TestInputChecks:
                 shoot_eigenvalue(family, window, 0)
             else:
                 scan_eigenvalues(family, window)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (dict(r_min=0.0), "r_min must be positive"),
+            (dict(r_min=-1e-4), "r_min must be positive"),
+            (dict(step=0.0), "need step > 0 and r_max > r_min"),
+            (dict(step=-1e-4), "need step > 0 and r_max > r_min"),
+            (dict(r_max=1e-4), "need step > 0 and r_max > r_min"),
+            (dict(r_max=1.5e-3), r"grid too short \(15 points\)"),
+        ],
+    )
+    def test_grid_checked(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            constant_family(**grid)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("shoot", [False, True])
@@ -882,6 +900,38 @@ class TestRadialProblem:
             (5.0 - 2.0) * (5.0 + 2.0 - 5.5)
         )
         assert np.allclose(w, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("symmetry", [PSPIN, SPIN])
+    @pytest.mark.parametrize("approximate", [True, False])
+    @pytest.mark.parametrize("hard_wall", [False, True])
+    @pytest.mark.parametrize("h", [0.0, 5.0])
+    @pytest.mark.parametrize("screening, v0", [(0.05, 1.0), (0.7, 3.0e4)])
+    def test_iqy_coefficients_bits(self, symmetry, approximate, hard_wall, h, screening, v0):
+        # c0 and c1 as two separate callables wrote them, each with its own
+        # centrifugal factor and c1 with its own exp(-2 alpha r)
+        p = caption_params(tensor_h=h, screening=screening, v0=v0)
+
+        def cent(r):
+            if not approximate:
+                return 1.0 / (r * r)
+            s = np.exp(-2.0 * screening * r)
+            one_minus = -np.expm1(-2.0 * screening * r)
+            return 4.0 * screening**2 * s / one_minus**2
+
+        for kappa in (-2, -1, 1, 2):
+            family = iqy_family(p, kappa, symmetry, approximate, hard_wall=hard_wall)
+            r = family.r
+            lam = effective_centrifugal(kappa, h, symmetry)
+            assert family._c0.tobytes() == (lam * (lam - 1.0) * cent(r)).tobytes()
+            assert family._c1.tobytes() == (-v0 * np.exp(-2.0 * screening * r) * cent(r)).tobytes()
+
+    @pytest.mark.parametrize("kappa", sorted({k for _, k in COULOMB_ANCHOR_STATES} | {-1}))
+    @pytest.mark.parametrize("b_coeff", [-1.0, -0.7])
+    def test_coulomb_coefficients_bits(self, kappa, b_coeff):
+        family = coulomb_family(1.0, b_coeff, kappa, r_max=60.0, step=5.0e-3)
+        r = family.r
+        assert family._c0.tobytes() == (kappa * (kappa - 1.0) / (r * r)).tobytes()
+        assert family._c1.tobytes() == (-b_coeff / r).tobytes()
 
     def test_grid_geometry(self):
         p = caption_params()
