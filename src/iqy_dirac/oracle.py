@@ -51,11 +51,45 @@ refines first, in ascending energy, only the sign-change cells whose
 endpoint counts bracket the wanted count, and falls back to the other
 cells when none of those roots has it. Shooting for several counts in one
 family shares one scan and refines each cell at most once.
+
+A scan first picks its matching point, the deepest minimum of W over the
+rows 4 .. n - 6 at 33 energies spread over the window, and skips the march
+when W never turns negative there: no classically allowed region, no
+eigenvalue. Most windows of the IQY families are of that kind, and a family
+decides them without a pass over the grid. At build it records the
+interval of gamma on which every one of those rows has c0 + gamma c1 >= 0:
+the upper end is the least c0 / -c1 over the rows with c1 < 0, the lower
+end minus the least c0 / c1 over the rows with c1 > 0, both shrunk by a
+relative 1e-12. When every gamma of the 33 energies lies in the interval
+and every beta^2 >= 0, no row of W is negative and the scan is skipped;
+otherwise the grid pass runs as before. The bound is only sufficient, so
+the verdict and every matching index are the grid pass's. The argument
+holds for the rounded W = fl(fl(c0 + fl(gamma c1)) + beta^2):
+
+- Take a row with c1 < 0 and 0 < gamma <= the upper end (c1 > 0 and
+  gamma < 0 is the mirror case). The computed ratio is within one rounding
+  of c0 / |c1|, and shrinking it adds one more; the margin, some 4500 ulp,
+  also absorbs a few ulp between the gamma of an array of energies and of
+  one energy. So gamma |c1| <= c0 holds exactly. As c0 is a float and
+  rounding is monotone, fl(gamma c1) >= -c0, so c0 + fl(gamma c1) >= 0 and
+  so is its rounding.
+- A row where gamma c1 >= 0 needs only c0 >= 0, as does a row with c1 = 0.
+- A sum >= 0 plus beta^2 >= 0 is >= 0 exactly, so also when rounded.
+- A ratio below the smallest normal float, from a zero or subnormal c0 or
+  from a normal c0 over a huge |c1|, has an absolute, not a relative,
+  rounding error. An end with such a least ratio is 0, which leaves only
+  the sign argument.
+  A ratio that overflows exceeds every float, so an end is capped at the
+  largest float and an infinite gamma falls outside.
+- No interval is recorded when a coefficient is not finite or some c0 is
+  negative, and a NaN gamma or beta^2 fails the comparisons. Either way the
+  grid pass decides, which is always safe.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -80,6 +114,8 @@ _UNDERFLOW_LIMIT = 1.0e-100
 _CHUNK_ROWS = 64
 # Trial energies of the batched scan over a window.
 _SCAN_POINTS = 240
+# Relative shrink of a family's gamma bound, some 4500 ulp.
+_BOUND_MARGIN = 1.0e-12
 
 
 @dataclass
@@ -109,8 +145,13 @@ class ProblemFamily:
     r: np.ndarray = field(init=False, repr=False)
     _c0: np.ndarray = field(init=False, repr=False)
     _c1: np.ndarray = field(init=False, repr=False)
+    # gamma interval on which W >= 0 on the matching rows whenever beta^2 >= 0
+    _gamma_bound: Optional[Tuple[float, float]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name, value in (("r_min", self.r_min), ("r_max", self.r_max), ("step", self.step)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.r_min > 0.0:
             raise ValueError(f"r_min must be positive, got {self.r_min}")
         if self.step <= 0.0 or self.r_max <= self.r_min:
@@ -120,11 +161,32 @@ class ProblemFamily:
             raise ValueError(f"grid too short ({count} points)")
         self.r = self.r_min + self.step * np.arange(count)
         self._c0, self._c1 = (np.asarray(c, dtype=float) for c in self.coefficients(self.r))
+        self._gamma_bound = _gamma_interval(self._c0[4 : count - 5], self._c1[4 : count - 5])
 
     def effective_potential(self, e: float) -> np.ndarray:
         """W(r, e) on the family's grid, from the cached coefficients."""
         g1, g2 = map(float, self.couplings(e))
         return self._c0 + g1 * self._c1 + g2
+
+
+def _gamma_interval(c0: np.ndarray, c1: np.ndarray) -> Optional[Tuple[float, float]]:
+    """Finite interval of gamma on which every row has c0 + gamma c1 >= 0 as
+    computed; None unless every coefficient is finite and every c0 >= 0.
+    The module docstring gives its ends and the rounding argument."""
+    # NaN fails every comparison
+    finite = c0.max() < math.inf and -math.inf < c1.min() and c1.max() < math.inf
+    if not (finite and c0.min() >= 0.0):
+        return None
+    ratio = np.abs(c1)
+    # rows with c1 = 0 divide by zero here and are left out of both minima
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(c0, ratio, out=ratio)
+    ends = []
+    for rows in (c1 > 0.0, c1 < 0.0):
+        least = float(np.min(ratio, where=rows, initial=math.inf))
+        shrunk = min(least * (1.0 - _BOUND_MARGIN), sys.float_info.max)
+        ends.append(shrunk if least >= sys.float_info.min else 0.0)
+    return -ends[0], ends[1]
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +525,20 @@ def _match_index(family: ProblemFamily, window: Tuple[float, float]) -> Optional
     in [4, len(r) - 6] so the five-point matching window fits inside the grid.
 
     None when W never turns negative: no classically allowed region, hence
-    no eigenvalue, at any sampled energy.
+    no eigenvalue, at any sampled energy. The family's gamma bound decides
+    that without a pass over the grid when it can; otherwise a pass over
+    the grid at each sampled energy decides.
     """
     lo, hi = window
+    energies = np.linspace(lo, hi, 33)
+    if family._gamma_bound is not None:
+        g_lo, g_hi = family._gamma_bound
+        gamma, bsq = family.couplings(energies)
+        if np.all((g_lo <= gamma) & (gamma <= g_hi) & (bsq >= 0.0)):
+            return None
     n_grid = len(family.r)
     best_idx, best_depth = None, 0.0
-    for e in np.linspace(lo, hi, 33):
+    for e in energies:
         w = family.effective_potential(float(e))
         idx = int(np.argmin(w[4 : n_grid - 5])) + 4
         if w[idx] < best_depth:

@@ -856,6 +856,9 @@ class TestInputChecks:
             (dict(step=-1e-4), "need step > 0 and r_max > r_min"),
             (dict(r_max=1e-4), "need step > 0 and r_max > r_min"),
             (dict(r_max=1.5e-3), r"grid too short \(15 points\)"),
+            (dict(r_max=math.inf), "r_max must be finite, got inf"),
+            (dict(r_max=math.nan), "r_max must be finite, got nan"),
+            (dict(step=math.nan), "step must be finite, got nan"),
         ],
     )
     def test_grid_checked(self, grid, message):
@@ -940,3 +943,171 @@ class TestRadialProblem:
         assert family.step == pytest.approx(1.0e-3 / p.screening)
         assert math.exp(-2.0 * p.screening * family.r_max) < 1e-12
         assert np.all(np.diff(family.r) > 0.0)
+
+
+def _grid_pass_match_index(family, window):
+    """The 33-energy pass over the grid, as ``_match_index`` runs it when the
+    family's gamma bound does not decide."""
+    lo, hi = window
+    n_grid = len(family.r)
+    best_idx, best_depth = None, 0.0
+    for e in np.linspace(lo, hi, 33):
+        g1, g2 = map(float, family.couplings(float(e)))
+        w = family._c0 + g1 * family._c1 + g2
+        idx = int(np.argmin(w[4 : n_grid - 5])) + 4
+        if w[idx] < best_depth:
+            best_depth, best_idx = float(w[idx]), idx
+    return best_idx
+
+
+def _table_family(c0, c1, couplings=None):
+    """A 40-row family with the given coefficient rows; by default gamma is
+    the energy and beta^2 = 0."""
+    if couplings is None:
+        def couplings(e):
+            e = np.asarray(e, dtype=float)
+            return e, 0.0 * e
+
+    return ProblemFamily(
+        coefficients=lambda r: (np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)),
+        couplings=couplings,
+        seed=lambda gamma, bsq: (1.0 + 0.0 * gamma, 0.0 * gamma, 0.0 * gamma),
+        r_min=0.1,
+        r_max=4.0,
+        step=0.1,
+        label="table",
+    )
+
+
+_ROWS = np.arange(40)
+_SUBNORMAL = 5e-324
+_FLOAT_MAX = np.finfo(float).max
+
+
+class TestWVerdict:
+    """``_match_index`` decides "W >= 0 at every sampled energy" from the
+    family's gamma bound when it can; its value is always the grid pass's."""
+
+    @staticmethod
+    def _random_case(rng):
+        if rng.random() < 0.15:
+            kappa = rng.choice([-2, -1, 1, 2, 3])
+            family = coulomb_family(1.0, rng.choice([-1.0, -0.7, 0.5]), kappa)
+            return family, [(-0.999, -0.02), tuple(sorted(rng.uniform(-3.0, 3.0, 2)))]
+        symmetry = rng.choice([PSPIN, SPIN])
+        p = caption_params(
+            screening=float(np.exp(rng.uniform(np.log(0.01), np.log(1.0)))),
+            v0=float(np.exp(rng.uniform(np.log(0.01), np.log(1000.0)))),
+            tensor_h=float(rng.choice([0.0, 5.0, rng.uniform(0.0, 6.0)])),
+        )
+        kappa = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        kind = rng.random()
+        if kind < 0.2:
+            family = iqy_family(p, kappa, symmetry, approximate=False)
+        elif kind < 0.4:
+            family = iqy_family(p, kappa, symmetry, r_min=0.05, hard_wall=True)
+        else:
+            family = iqy_family(p, kappa, symmetry)
+        windows = [tuple(sorted(rng.uniform(-8.0, 8.0, 2)))]
+        window = scan_window(p, int(rng.integers(3)), kappa, symmetry)
+        if window is not None:
+            windows.append(window)
+        return family, windows
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_grid_pass_on_random_families(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        grid_passes = []
+        evaluate = ProblemFamily.effective_potential
+
+        def counted(family, e):
+            grid_passes.append(e)
+            return evaluate(family, e)
+
+        monkeypatch.setattr(ProblemFamily, "effective_potential", counted)
+        by_bound = by_pass = 0
+        for _ in range(20):
+            family, windows = self._random_case(rng)
+            for window in windows:
+                grid_passes.clear()
+                assert _match_index(family, window) == _grid_pass_match_index(family, window)
+                by_pass += bool(grid_passes)
+                by_bound += not grid_passes
+        # both routes are exercised
+        assert by_bound and by_pass
+
+    @pytest.mark.parametrize(
+        "c0, c1, bound",
+        [
+            # c0 = 0 rows with c1 of both signs pin both ends at 0
+            (np.where(_ROWS % 3 == 0, 0.0, 1.0), np.sin(_ROWS + 0.5), (0.0, 0.0)),
+            # no c1 > 0 row: the lower end is the largest float
+            (1.0 + 0.0 * _ROWS, -2.0 + 0.0 * _ROWS, (-_FLOAT_MAX, 0.5 * (1.0 - 1e-12))),
+            # subnormal c0 over c1 = -1: a subnormal ratio counts as 0
+            (_SUBNORMAL * (1.0 + _ROWS), -1.0 + 0.0 * _ROWS, (-_FLOAT_MAX, 0.0)),
+            # subnormal c0 over a tiny c1: a normal ratio, least on row 4
+            (
+                _SUBNORMAL * (1.0 + _ROWS),
+                -1e-300 + 0.0 * _ROWS,
+                (-_FLOAT_MAX, 5.0 * _SUBNORMAL / 1e-300 * (1.0 - 1e-12)),
+            ),
+            # normal c0 over a huge c1: a subnormal ratio counts as 0
+            (1e-300 + 0.0 * _ROWS, np.where(_ROWS % 2, 1e10, -1e10), (0.0, 0.0)),
+            # ratios past the largest float: the ends are capped
+            (1e300 + 0.0 * _ROWS, np.where(_ROWS % 2, 1e-10, -1e-10), (-_FLOAT_MAX, _FLOAT_MAX)),
+            # a negative c0 row, a non-finite coefficient: no bound
+            (np.where(_ROWS == 20, -1.0, 1.0), -1.0 + 0.0 * _ROWS, None),
+            (np.where(_ROWS == 20, np.inf, 1.0), -1.0 + 0.0 * _ROWS, None),
+            (1.0 + 0.0 * _ROWS, np.where(_ROWS == 20, np.nan, -1.0), None),
+        ],
+    )
+    def test_hand_built_families(self, c0, c1, bound):
+        family = _table_family(c0, c1)
+        assert family._gamma_bound == bound
+        windows = [(0.0, 0.0), (-1.0, 0.0), (0.0, 1e-300), (0.0, 2e-23), (0.0, 1e-22)]
+        windows += [(-1.0, 1.0), (0.0, 0.5), (0.4, 0.6), (-1e307, 1e307), (0.0, 1e308)]
+        for window in windows:
+            # the widest windows overflow W in some rows on both routes
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = _grid_pass_match_index(family, window)
+                assert _match_index(family, window) == expected, window
+
+    def test_nan_couplings_fall_back(self):
+        def couplings(e):
+            e = np.asarray(e, dtype=float)
+            return np.where(e > 0.5, np.nan, e), 1.0 + 0.0 * e
+
+        # W = 1 - e at the sampled energies up to 0.5 and NaN above
+        family = _table_family(1.0 + 0.0 * _ROWS, -1.0 + 0.0 * _ROWS, couplings)
+        for window in [(0.0, 0.5), (0.0, 1.0), (0.0, 4.0)]:
+            assert _match_index(family, window) == _grid_pass_match_index(family, window)
+
+    @pytest.mark.parametrize("scale", [-315, -200, 0, 200, 300])
+    def test_rows_nonnegative_at_both_ends(self, scale):
+        # the rounded W is monotone in gamma, so both ends are the worst cases
+        rng = np.random.default_rng(scale + 400)
+        c0 = 10.0 ** (scale + rng.uniform(-3.0, 3.0, 5000))
+        c0[rng.random(5000) < 0.02] = 0.0
+        c1 = rng.choice([-1.0, 1.0], 5000) * c0 * 10.0 ** rng.uniform(-3.0, 3.0, 5000)
+        c1[rng.random(5000) < 0.02] = 0.0
+        # rows with the ratio exactly at the least one
+        c1[:50] = -c0[:50] * 1e3
+        g_lo, g_hi = oracle._gamma_interval(c0, c1)
+        assert g_lo < 0.0 < g_hi
+        for gamma in (g_lo, g_hi):
+            assert (c0 + gamma * c1 + 0.0).min() >= 0.0
+
+    @pytest.mark.parametrize("symmetry, h", [(PSPIN, 0.0), (SPIN, 5.0)])
+    @pytest.mark.parametrize("screening", [0.03, 0.2])
+    @pytest.mark.parametrize("kappa", [-2, -1, 1, 2])
+    def test_caption_flat_families_skip_the_grid_pass(
+        self, monkeypatch, symmetry, h, screening, kappa
+    ):
+        p = caption_params(screening=screening, tensor_h=h)
+        family = iqy_family(p, kappa, symmetry)
+
+        def no_grid_pass(family, e):
+            raise AssertionError("W evaluated on the grid")
+
+        monkeypatch.setattr(ProblemFamily, "effective_potential", no_grid_pass)
+        assert scan_eigenvalues(family, scan_window(p, 0, kappa, symmetry), tol=1e-9) == []
