@@ -136,6 +136,11 @@ def _parse_ints(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _parse_tensor_h(text: str) -> List[float]:
+    # -0 passes the nonnegative check; adding 0.0 makes it the 0 it prints as
+    return [h + 0.0 for h in _parse_floats(text)]
+
+
 def _parse_window(text: str) -> Tuple[float, float]:
     lo, hi = _parse_floats(text)  # unpacking raises ValueError unless two numbers
     return lo, hi
@@ -150,7 +155,7 @@ _OPTIONS = {
     "mass": ("mass", float, {}),
     "v0": ("v0", float, {}),
     "screening": ("screening", float, {}),
-    "tensor_h": ("tensor_h", _parse_floats, {"action": "append"}),
+    "tensor_h": ("tensor_h", _parse_tensor_h, {"action": "append"}),
     "cs": ("c_spin", float, {}),
     "cps": ("c_pspin", float, {}),
     "n_min": ("n_min", int, {}),

@@ -26,10 +26,15 @@ window, brackets every sign change and bisects the brackets of all states
 together in one loop, each bracket carrying its state's coefficients as
 columns; ``solve_energies`` is its batch of one. A whole spectrum table is
 one batch, so the loop's numpy calls are paid once per table, not once per
-state. Every root found is the "relaxed" set. The "strict" set, roots of
-the printed condition with principal square roots, is empty for every
-parameter set (proof in ``solve_energies``), so strict mode returns it
-without scanning.
+state. States that share the bits of their six residual coefficients and
+their two scan-window ends share one scan, one bisection and one set of
+frozen records. That is exact, as the solve reads nothing else of a state.
+The condition sees kappa and H only through (lambda - 1/2)^2, so doublet
+partners at H = 0 and a kappa shifted by 2H are such states: the 32 rows of
+the published pseudospin table hold 18 distinct solves. Every root found is
+the "relaxed" set. The "strict" set, roots of the printed condition with
+principal square roots, is empty for every parameter set (proof in
+``solve_energies``), so strict mode returns it without scanning.
 
 ``assemble_wavefunction`` builds a dump's grid and both components from one
 evaluation of the closed form s^w (1-s)^(1/2+q) P_n^(2w,2q)(1-2s).
@@ -38,6 +43,7 @@ evaluation of the closed form s^w (1-s)^(1/2+q) P_n^(2w,2q)(1-2s).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
@@ -292,10 +298,11 @@ def _rearranged_vec(
     return _residual_columns(e_arr, *_coefficients(params, n, kappa, symmetry_record(symmetry)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergySolution:
     """One converged root of the squared quantization condition; not a
-    root of the printed one, by the proof in ``solve_energies``."""
+    root of the printed one, by the proof in ``solve_energies``. Frozen, as
+    ``solve_batch`` hands one record to every state sharing its solve."""
 
     e: float
     residual: float
@@ -345,6 +352,22 @@ def scan_window(
 
 State = Tuple[PhysicalParams, int, int]  # (params, n, kappa)
 
+# np.linspace's own arithmetic, index * step + lo with the last point set to
+# hi, on one index array instead of a fresh one per call
+_GRID_INDEX = np.arange(2002.0)
+
+
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    """The scan grid of a window of finite width: cells of about
+    (hi - lo) / 2000, bit for bit ``np.linspace(lo, hi, num)``."""
+    step = (hi - lo) / 2000.0
+    # (hi - lo) / step rounds up to 2001 cells for about one width in
+    # eight; kept so the grid, and with it every printed root, stays.
+    num = math.ceil((hi - lo) / step) + 1
+    grid = _GRID_INDEX[:num] * ((hi - lo) / (num - 1)) + lo
+    grid[-1] = hi
+    return grid
+
 
 # Inputs far outside the physical range overflow in the residual. The CLI
 # keeps stderr to its one error line, so the warnings are silenced once per
@@ -359,11 +382,16 @@ def solve_batch(
 ) -> List[List[EnergySolution]]:
     """``solve_energies`` for each (params, n, kappa) of one symmetry, in order.
 
-    Each state's grid is scanned on its own with its own coefficients, then
-    the sign-change brackets of every state are bisected in one loop, each
-    bracket with its own coefficient columns and its own ``live`` mask, so
-    no bracket's path depends on the others: every list is the one the state
-    gives alone.
+    A state's solve depends only on its six residual coefficients and its
+    scan window, so states sharing the bits of those eight floats share one
+    solve: doublet partners at H = 0, whose condition sees kappa and H only
+    through (lambda - 1/2)^2, and a kappa shifted by 2H. Each distinct solve's
+    grid is scanned on its own with its own coefficients, then the
+    sign-change brackets of every solve are bisected in one loop, each
+    bracket with its own coefficient columns and its own ``live`` mask, so no
+    bracket's path depends on the others: every list is the one the state
+    gives alone. Each state gets its own list; the frozen records in it may
+    be shared.
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
@@ -373,18 +401,23 @@ def solve_batch(
     bounds = [scan_window(params, n, kappa, symmetry, window) for params, n, kappa in states]
     if mode == "strict":
         return [[] for _ in states]
-    coeffs = [_coefficients(params, n, kappa, sym) for params, n, kappa in states]
+    # Keyed by bits, not values, so 0.0 and -0.0 never merge; a state with no
+    # scan window packs to a shorter key. Distinct solves keep first-appearance
+    # order, so the first state that overflows raises its own message.
+    keys, distinct = [], {}
+    for (params, n, kappa), bound in zip(states, bounds):
+        coeff = _coefficients(params, n, kappa, sym)
+        key = struct.pack("6d", *coeff) + (b"" if bound is None else struct.pack("2d", *bound))
+        keys.append(key)
+        distinct.setdefault(key, (coeff, bound))
     zeros, lows, highs, f_lows, counts = [], [], [], [], []
-    for coeff, bound in zip(coeffs, bounds):
+    for coeff, bound in distinct.values():
         e_grid = np.empty(0)
         if bound is not None:
             lo, hi = bound
             if not math.isfinite(hi - lo):
                 raise OverflowError(f"scan window ({lo}, {hi}) is wider than the largest float")
-            step = (hi - lo) / 2000.0
-            # (hi - lo) / step rounds up to 2001 cells for about one width in
-            # eight; kept so the grid, and with it every printed root, stays.
-            e_grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
+            e_grid = _scan_grid(lo, hi)
         res, _, _ = _residual_columns(e_grid, *coeff)
         cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
         zeros.append(e_grid[res == 0.0])
@@ -393,6 +426,7 @@ def solve_batch(
         f_lows.append(res[cells])
         counts.append(len(cells))
     a, b, fa = (np.concatenate([np.empty(0), *parts]) for parts in (lows, highs, f_lows))
+    coeffs = [coeff for coeff, _ in distinct.values()]
     # row k holds coefficient k of every bracket's state
     columns = np.repeat(np.array(coeffs).reshape(-1, 6).T, counts, axis=1)
     # The cap ends the loop when tol is finer than the doubles near a root,
@@ -408,10 +442,11 @@ def solve_batch(
         b = np.where(live & (left | (fmid == 0.0)), mid, b)
         a = np.where(live & ~left, mid, a)
     centres = np.split(0.5 * (a + b), np.cumsum(counts)[:-1])
-    return [
-        _solutions(sym, coeff, np.sort(np.concatenate((zero, centre))))
-        for coeff, zero, centre in zip(coeffs, zeros, centres)
-    ]
+    solved = {
+        key: _solutions(sym, coeff, np.sort(np.concatenate((zero, centre))))
+        for key, coeff, zero, centre in zip(distinct, coeffs, zeros, centres)
+    }
+    return [list(solved[key]) for key in keys]
 
 
 def _solutions(sym: Symmetry, coeff: Tuple[float, ...], roots: np.ndarray) -> List[EnergySolution]:

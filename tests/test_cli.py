@@ -291,6 +291,16 @@ class TestSpectrum:
         cfg_file.write_text("kappa =\n")
         assert run_main(["spectrum", "--config", str(cfg_file)]) == 2
 
+    @pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_h_prints_as_zero(self, command, fmt, capsys):
+        # -0 passed the nonnegative check and printed as -0 (CSV), -0.0 (JSON)
+        outputs = []
+        for h in ("0", "-0", "-0.0"):
+            assert run_main([command, "--n-min", "1", "--kappa", "-1,2", "--tensor-h", h, "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[2] == outputs[0]
+
     def test_partner_rows_equal_at_h0(self, tmp_path):
         out = tmp_path / "pairs.csv"
         run_main(

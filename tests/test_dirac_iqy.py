@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from iqy_dirac.dirac_iqy import (
 )
 from iqy_dirac.errors import EmptyWindow, NegativeRadicand, NonpositiveR, ZeroKappa
 from iqy_dirac.nu_engine import derive_parameters
+from test_golden import GOLDEN
 
 
 def caption_params(**overrides):
@@ -470,6 +471,14 @@ BATCH_STATE = st.tuples(
     st.integers(min_value=0, max_value=5),  # n
     st.integers(min_value=-6, max_value=6).filter(bool),  # kappa
 )
+# A batch of drawn rows, or of copies of some of them in a drawn order: more
+# rows than distinct ones, so at least two states share a solve.
+BATCH_ROWS = st.one_of(
+    st.lists(BATCH_STATE, min_size=1, max_size=6),
+    st.lists(BATCH_STATE, min_size=1, max_size=3).flatmap(
+        lambda rows: st.lists(st.sampled_from(rows), min_size=len(rows) + 1, max_size=2 * len(rows) + 2)
+    ),
+)
 # Windows as fractions of the strict domain; "sliver" overlaps it by less
 # than the margins, so no state has a scan window.
 BATCH_WINDOW = st.one_of(
@@ -510,7 +519,7 @@ class TestBatchedSolve:
         cs_ratio=st.floats(min_value=-1.0, max_value=1.9),
         cps_ratio=st.floats(min_value=-1.9, max_value=1.0),
         symmetry=st.sampled_from([PSPIN, SPIN]),
-        rows=st.lists(BATCH_STATE, min_size=1, max_size=6),
+        rows=BATCH_ROWS,
         window=BATCH_WINDOW,
         tol=st.sampled_from([1e-12, 1e-6]),
     )
@@ -519,6 +528,19 @@ class TestBatchedSolve:
              rows=[(1.0, 0.05, 0.5, 0, -1), (1.0, 0.05, 0.3, 1, -2)], window=None, tol=1e-12)
     @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=PSPIN,
              rows=[(1.0, 0.05, 5.464, 1, 3), (1.0, 0.05, 0.0, 1, -1)], window="sliver", tol=1e-6)
+    # states that share a solve: exact twins, doublet partners at H = 0
+    # (pspin, spin), a kappa shifted by 2H (lambda = 3 for both), and
+    # tensor_h 0.0 against -0.0
+    @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=PSPIN,
+             rows=[(1.0, 0.05, 0.0, 1, -1)] * 3, window=None, tol=1e-12)
+    @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=PSPIN,
+             rows=[(1.0, 0.05, 0.0, 1, -1), (1.0, 0.05, 0.0, 1, 2)], window=None, tol=1e-12)
+    @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=SPIN,
+             rows=[(1.0, 0.05, 0.0, 0, -2), (1.0, 0.05, 0.0, 0, 1)], window=None, tol=1e-12)
+    @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=PSPIN,
+             rows=[(1.0, 0.05, 5.0, 1, -2), (1.0, 0.05, 0.0, 1, 3)], window=None, tol=1e-12)
+    @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=PSPIN,
+             rows=[(1.0, 0.05, 0.0, 1, -1), (1.0, 0.05, -0.0, 1, -1)], window=(0.0, 0.9), tol=1e-12)
     # both fractions round to the domain's lower end: a window with lo >= hi
     @example(mass=1.0, cs_ratio=0.0, cps_ratio=0.0, symmetry=PSPIN,
              rows=[(0.0, 1.0, 0.0, 0, 1)], window=(-3.6398099693107306e-67, 0.0), tol=1e-12)
@@ -535,6 +557,46 @@ class TestBatchedSolve:
         if not got.startswith(("EmptyWindow", "ValueError")):
             want = [reference_solve(p, n, k, symmetry, window, tol) for p, n, k in states]
             assert got == repr(want)
+
+    def test_table_solves_each_distinct_condition_once(self, monkeypatch, tmp_path):
+        # the published pspin table: 32 rows, 18 distinct (n, (lambda - 1/2)^2)
+        # conditions, as doublet partners at H = 0 and kappa shifted by 2H coincide
+        grids = []
+        residual_columns = dirac_iqy._residual_columns
+
+        def counted(e, *coeff):
+            if np.size(e) in (2001, 2002):
+                grids.append(np.size(e))
+            return residual_columns(e, *coeff)
+
+        monkeypatch.setattr(dirac_iqy, "_residual_columns", counted)
+        out = tmp_path / "table.csv"
+        assert cli.main(GOLDEN["spectrum_pspin.csv"] + ["--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 32
+        assert len(grids) == 18
+
+    def test_twins_get_their_own_lists_of_frozen_records(self):
+        p = caption_params()
+        first, twin, partner = solve_batch([(p, 1, -1), (p, 1, -1), (p, 1, 2)], PSPIN, mode="relaxed")
+        assert first and first == twin == partner
+        assert first is not twin and twin is not partner
+        first.clear()
+        assert twin == partner != []
+        with pytest.raises(FrozenInstanceError):
+            twin[0].e = 0.0
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 1), (0, 2, 1, 2, 1)])
+    def test_repeated_overflowing_window_raises_first_offender(self, order):
+        # spin windows (C - M, M) 2.5e308 and 2.6e308 wide: hi - lo overflows
+        fine = caption_params()
+        wide = [PhysicalParams(mass=1e308, v0=0.0, screening=1.0, c_spin=c) for c in (-1.5e308, -1.6e308)]
+        states = [[(fine, 0, -2), (wide[0], 0, -2), (wide[1], 0, -2)][i] for i in order]
+        offender = next(state for i, state in zip(order, states) if i)
+        with pytest.raises(OverflowError) as alone:
+            solve_energies(*offender, SPIN, mode="relaxed")
+        with pytest.raises(OverflowError, match="wider than the largest float") as batch:
+            solve_batch(states, SPIN, mode="relaxed")
+        assert str(batch.value) == str(alone.value)
 
     def test_strict_batch_is_empty(self):
         p = caption_params()
@@ -606,6 +668,26 @@ class TestBatchedSolve:
         p = caption_params(tensor_h=5.464)
         (sols,) = solve_batch([(p, 1, 3)], PSPIN, mode="relaxed")
         assert repr(sols) == repr(reference_solve(p, 1, 3, PSPIN))
+
+
+class TestScanGrid:
+    def test_matches_linspace_bytes(self):
+        # widths 1e-12 to 1e9 at scales 1e-6 to 1e8, both signs; the count
+        # rule gives 2001 points for most widths and 2002 for about one in eight
+        rng = np.random.default_rng(20240611)
+        counts = set()
+        for _ in range(20_000):
+            scale = 10.0 ** rng.uniform(-6.0, 8.0) * rng.choice([-1.0, 1.0])
+            lo = scale * rng.uniform(0.5, 2.0)
+            hi = lo + 10.0 ** rng.uniform(-12.0, 9.0)
+            if not hi > lo:
+                continue
+            step = (hi - lo) / 2000.0
+            want = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
+            got = dirac_iqy._scan_grid(lo, hi)
+            assert got.tobytes() == want.tobytes(), (lo, hi)
+            counts.add(len(got))
+        assert counts == {2001, 2002}
 
 
 class TestBranchSelection:
