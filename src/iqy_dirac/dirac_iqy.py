@@ -9,10 +9,8 @@ energy. Two residual forms are provided:
 * ``energy_residual_raw``   -- the quantization condition as printed, with the
   principal (nonnegative) square root of beta^2.
 * ``energy_residual_rearranged`` -- the squared form, smooth across the
-  window, with a flag that is the numeric sign of t = gamma*V0 + P^2. A root
-  of the printed condition needs t <= 0, and the proof in ``solve_energies``
-  shows t > 0, so the flag separates no roots: it is the property that proof
-  is tested against, and it rounds the wrong way once |gamma*V0| nears 1e30.
+  window, with t = gamma*V0 + P^2 summed as the proof in ``solve_energies``
+  writes it, and the flag t <= 0, which that proof makes False.
 
 Spin and pseudospin symmetry share every formula. A frozen ``Symmetry``
 record per symmetry holds the sign s of the mass term (-1 pseudospin, +1
@@ -247,9 +245,9 @@ def energy_residual_rearranged(
 ) -> Tuple[float, bool]:
     """Squared-form residual and the sign flag of the principal branch.
 
-    Zero residual together with sign_ok=True is equivalent to the raw
-    condition; zero residual with sign_ok=False marks a spurious root picked
-    up by squaring.
+    Zero residual with the flag True would be a root of the raw condition;
+    the flag is t <= 0, False for every input by construction, so every zero
+    is a spurious root picked up by squaring.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -278,14 +276,16 @@ def _coefficients(params: PhysicalParams, n: int, kappa: int, sym: Symmetry) -> 
 def _residual_columns(e, sm, charge, v0, lq, nh, four_alpha_sq):
     """Squared-form residual, sign flag and beta^2 at energies ``e``; each
     coefficient of ``_coefficients`` is a float or a column matching ``e``.
-    nan where the inner radicand fails. P = n + 1/2 + q is positive, so the
-    division needs no guard."""
+    nan where the inner radicand fails. t = gamma*V0 + P^2 is summed as
+    (lambda - 1/2)^2 + (n + 1/2)(P + q), which has no cancellation, so the
+    flag t <= 0 is False for every input by construction. P = n + 1/2 + q is
+    positive, so the division needs no guard."""
     gamma = e + sm - charge
     bsq = (sm - e) * gamma
     rad = lq - gamma * v0
-    rad = np.where(rad >= -RADICAND_TOLERANCE, np.maximum(rad, 0.0), np.nan)
-    big_p = nh + np.sqrt(rad)
-    t = gamma * v0 + big_p * big_p
+    q = np.sqrt(np.where(rad >= -RADICAND_TOLERANCE, np.maximum(rad, 0.0), np.nan))
+    big_p = nh + q
+    t = lq + nh * (big_p + q)
     residual = bsq - four_alpha_sq * (t / (2.0 * big_p)) ** 2
     return residual, t <= 0.0, bsq
 
@@ -293,8 +293,8 @@ def _residual_columns(e, sm, charge, v0, lq, nh, four_alpha_sq):
 def _rearranged_vec(
     params: PhysicalParams, n: int, kappa: int, symmetry: str, e_arr: np.ndarray
 ):
-    """Squared-form residual, sign flag and beta^2 of one state for a float
-    or an array of energies."""
+    """Squared-form residual, sign flag (False for every input by
+    construction) and beta^2 of one state at a float or array ``e_arr``."""
     return _residual_columns(e_arr, *_coefficients(params, n, kappa, symmetry_record(symmetry)))
 
 
@@ -307,7 +307,6 @@ class EnergySolution:
     e: float
     residual: float
     beta_sq: float
-    sign_ok: bool
 
 
 def scan_window(
@@ -429,13 +428,14 @@ def solve_batch(
     coeffs = [coeff for coeff, _ in distinct.values()]
     # row k holds coefficient k of every bracket's state
     columns = np.repeat(np.array(coeffs).reshape(-1, 6).T, counts, axis=1)
-    # The cap ends the loop when tol is finer than the doubles near a root,
-    # where a bracket stops shrinking.
-    for _ in range(200):
-        live = b - a > tol
+    while True:
+        mid = 0.5 * (a + b)
+        # A midpoint that rounds to an end leaves the bracket as it is, as f
+        # there has that end's sign; so a bracket is done once tol or the
+        # doubles between its ends stop it shrinking.
+        live = (b - a > tol) & (a < mid) & (mid < b)
         if not live.any():
             break
-        mid = 0.5 * (a + b)
         fmid, _, _ = _residual_columns(mid, *columns)
         left = fa * fmid < 0.0
         # an exact zero closes the bracket on itself
@@ -458,8 +458,8 @@ def _solutions(sym: Symmetry, coeff: Tuple[float, ...], roots: np.ndarray) -> Li
             continue
         # Evaluated as a scalar: a scalar ``x ** 2`` rounds like pow(), an
         # array's like x * x, and the printed residual uses the former.
-        residual, sign_ok, bsq = _residual_columns(root, *coeff)
-        solutions.append(EnergySolution(root, float(residual), bsq, bool(sign_ok)))
+        residual, _, bsq = _residual_columns(root, *coeff)
+        solutions.append(EnergySolution(root, float(residual), bsq))
     return solutions
 
 
@@ -477,13 +477,12 @@ def solve_energies(
 
     ``mode='relaxed'`` returns every root: a 2000-cell scan brackets every
     sign change and all brackets are bisected together until each is
-    narrower than ``tol``; pseudospin keeps the negative-energy branch.
+    narrower than ``tol`` or has no double between its ends; pseudospin
+    keeps the negative-energy branch.
     ``mode='strict'`` checks its inputs and the window, then returns [], as
     no root has principal square roots: with q = sqrt(radicand) >= 0 one
     needs t = gamma*V0 + P^2 <= 0 (the sign flag of ``_rearranged_vec``),
-    but t = (lambda - 1/2)^2 + (n + 1/2)^2 + 2(n + 1/2)q > 0. The naive sum
-    gamma*V0 + P^2 can round to t <= 0 once |gamma*V0| nears 1e30, so the
-    proof, not a scan, decides the strict set.
+    but t = (lambda - 1/2)^2 + (n + 1/2)^2 + 2(n + 1/2)q > 0.
     """
     return solve_batch([(params, n, kappa)], symmetry, window, tol, mode)[0]
 

@@ -412,7 +412,7 @@ class TestWavefunction:
         # an energy 1e-9 inside the threshold, where the companion's
         # derivative divides by an underflowed s: rejected, not dumped as nan
         # (mass + cps of the defaults is -0.5); the dump reads only sol.e
-        sol = dirac_iqy.EnergySolution(e=-0.5 - 1e-9, residual=0.0, beta_sq=0.0, sign_ok=False)
+        sol = dirac_iqy.EnergySolution(e=-0.5 - 1e-9, residual=0.0, beta_sq=0.0)
         monkeypatch.setattr(cli, "solve_energies", lambda *args, **kwargs: [sol])
         out = tmp_path / "wf.csv"
         code = run_main(["wavefunction", "--n-min", "1", "--kappa", "-1", "--out", str(out)])
@@ -639,9 +639,7 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_residual_warns_nothing(self, tmp_path, capsys):
-        # gamma * V0 overflows in the scan and the bisection; the rows this
-        # prints are not roots (the cancellation at huge V0), but stderr
-        # stays empty
+        # gamma * V0 overflows on most of the scan grid; stderr stays empty
         out = tmp_path / "out.csv"
         code = run_main(["spectrum", "--v0", "1e308", "--out", str(out)])
         assert code == 0

@@ -1,9 +1,10 @@
+import csv
 import math
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iqy_dirac import cli, dirac_iqy
@@ -235,8 +236,8 @@ class TestResiduals:
             assert energy_residual_raw(p, 1, -1, float(e), PSPIN) > 0.0
 
     def test_rearranged_matches_raw_when_signs_align(self):
-        # with sign_ok the squared residual factors the raw one; at a
-        # rearranged root the raw condition holds iff sign_ok
+        # with the sign flag the squared residual factors the raw one; at a
+        # rearranged root the raw condition holds iff the flag is set
         p = caption_params()
         sols = solve_energies(p, 1, -1, PSPIN, mode="relaxed")
         assert sols
@@ -306,16 +307,14 @@ class TestSolveEnergies:
             solve_energies(p, 1, -1, PSPIN, window=(-20.0, -10.0), mode="strict")
 
     def test_strict_set_empty_where_the_naive_sign_rounds(self):
-        # gamma*V0 + P^2 cancels to 0 at this relaxed root, so the numeric
-        # sign flag reads valid although the residual is beta^2 = 75.45;
-        # the proof still leaves the strict set empty
+        # the naive sum gamma*V0 + P^2 cancels to 0 at this state's relaxed
+        # root, where its terms are near 9.5e32; the proof, not that sum,
+        # leaves the strict set empty
         p = PhysicalParams(
             mass=475331604.6317678, v0=7.512088796728115e23, screening=1.5584049792948822,
             c_spin=414797259.09713894, c_pspin=315190603.42978406,
         )
         assert solve_energies(p, 0, 2, PSPIN, mode="strict") == []
-        relaxed = solve_energies(p, 0, 2, PSPIN, mode="relaxed")
-        assert [sol.sign_ok for sol in relaxed] == [True]
 
     @given(**PARAMS)
     @settings(max_examples=200, deadline=None)
@@ -324,8 +323,8 @@ class TestSolveEnergies:
         # for every q >= 0, so no root of the squared condition has a valid sign
         p = drawn_params(**physical)
         assert solve_energies(p, n, kappa, symmetry, mode="strict") == []
-        relaxed = solve_energies(p, n, kappa, symmetry, mode="relaxed")
-        assert not any(sol.sign_ok for sol in relaxed)
+        for sol in solve_energies(p, n, kappa, symmetry, mode="relaxed"):
+            assert energy_residual_raw(p, n, kappa, sol.e, symmetry) > 0.0
 
     @given(**PARAMS)
     @settings(max_examples=100, deadline=None)
@@ -348,7 +347,8 @@ class TestSolveEnergies:
         p = caption_params()
         sols = solve_energies(p, 1, -1, PSPIN, mode="relaxed")
         assert len(sols) >= 2
-        assert all(not s.sign_ok for s in sols)
+        # the printed condition, principal roots, is positive at each
+        assert all(energy_residual_raw(p, 1, -1, s.e, PSPIN) > 0.0 for s in sols)
         assert all(s.beta_sq > 0.0 for s in sols)
         assert all(s.e < 0.0 for s in sols)
         assert sols == sorted(sols, key=lambda s: s.e)
@@ -400,7 +400,7 @@ class TestSolveEnergies:
         sols = solve_energies(p, 1, -1, PSPIN, mode="relaxed")
         for sol in sols:
             # the caller holds the state; a solution holds only the root
-            assert [f.name for f in fields(sol)] == ["e", "residual", "beta_sq", "sign_ok"]
+            assert [f.name for f in fields(sol)] == ["e", "residual", "beta_sq"]
             assert sol.beta_sq == pytest.approx(beta_squared(p, sol.e, PSPIN), rel=1e-12)
 
     @given(**PARAMS)
@@ -427,10 +427,11 @@ def reference_solve(p, n, kappa, symmetry, window=None, tol=1e-12):
         bsq = beta_squared(p, e, symmetry)
         lam = effective_centrifugal(kappa, p.tensor_h, symmetry)
         rad = (lam - 0.5) ** 2 - gamma * p.v0
-        rad = np.where(rad >= -1.0e-12, np.maximum(rad, 0.0), np.nan)
-        big_p = n + 0.5 + np.sqrt(rad)
-        t = gamma * p.v0 + big_p * big_p
-        return bsq - 4.0 * p.screening**2 * (t / (2.0 * big_p)) ** 2, t <= 0.0, bsq
+        q = np.sqrt(np.where(rad >= -1.0e-12, np.maximum(rad, 0.0), np.nan))
+        big_p = n + 0.5 + q
+        # gamma*V0 + P^2 by the proof's identity
+        t = (lam - 0.5) ** 2 + (n + 0.5) * (big_p + q)
+        return bsq - 4.0 * p.screening**2 * (t / (2.0 * big_p)) ** 2, bsq
 
     bounds = scan_window(p, n, kappa, symmetry, window)
     if bounds is None:
@@ -438,7 +439,7 @@ def reference_solve(p, n, kappa, symmetry, window=None, tol=1e-12):
     lo, hi = bounds
     step = (hi - lo) / 2000.0
     e_grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
-    res, _, _ = residual(e_grid)
+    res, _ = residual(e_grid)
     cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
     a, b, fa = e_grid[cells], e_grid[cells + 1], res[cells]
     for _ in range(200):
@@ -446,7 +447,7 @@ def reference_solve(p, n, kappa, symmetry, window=None, tol=1e-12):
         if not live.any():
             break
         mid = 0.5 * (a + b)
-        fmid, _, _ = residual(mid)
+        fmid, _ = residual(mid)
         left = fa * fmid < 0.0
         b = np.where(live & (left | (fmid == 0.0)), mid, b)
         a = np.where(live & ~left, mid, a)
@@ -454,10 +455,8 @@ def reference_solve(p, n, kappa, symmetry, window=None, tol=1e-12):
     for root in np.sort(np.concatenate((e_grid[res == 0.0], 0.5 * (a + b)))):
         if symmetry == PSPIN and root >= 0.0:
             continue
-        value, sign_ok, bsq = residual(float(root))
-        solutions.append(dirac_iqy.EnergySolution(
-            e=float(root), residual=float(value), beta_sq=bsq, sign_ok=bool(sign_ok),
-        ))
+        value, bsq = residual(float(root))
+        solutions.append(dirac_iqy.EnergySolution(e=float(root), residual=float(value), beta_sq=bsq))
     return solutions
 
 
@@ -616,7 +615,7 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("mode", ["strict", "relaxed"])
     def test_rejects_negative_n(self, mode):
-        # relaxed mode found two roots at n = -1, one with sign_ok=True
+        # relaxed mode found two roots at n = -1, one with t <= 0
         with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
             solve_batch([(caption_params(), 1, -1), (caption_params(), -1, -1)], PSPIN, mode=mode)
 
@@ -688,6 +687,90 @@ class TestScanGrid:
             assert got.tobytes() == want.tobytes(), (lo, hi)
             counts.add(len(got))
         assert counts == {2001, 2002}
+
+
+class TestCancellationFreeT:
+    """t = gamma*V0 + P^2 is summed as (lambda - 1/2)^2 + (n + 1/2)(P + q),
+    the proof's identity, which has no cancellation at any V0."""
+
+    @given(**PARAMS, frac=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_naive_sum_on_moderate_inputs(self, n, kappa, symmetry, frac, **physical):
+        p = drawn_params(**physical)
+        bounds = scan_window(p, n, kappa, symmetry)
+        assume(bounds is not None)
+        e = bounds[0] + frac * (bounds[1] - bounds[0])
+        res, flag, bsq = _rearranged_vec(p, n, kappa, symmetry, e)
+        gamma = gamma_factor(p, e, symmetry)
+        lam = effective_centrifugal(kappa, p.tensor_h, symmetry)
+        big_p = n + 0.5 + math.sqrt(max((lam - 0.5) ** 2 - gamma * p.v0, 0.0))
+        t = gamma * p.v0 + big_p * big_p
+        four_alpha_sq = 4.0 * p.screening**2
+        naive = bsq - four_alpha_sq * (t / (2.0 * big_p)) ** 2
+        # the naive sum rounds at the scale of its largest term
+        scale = bsq + four_alpha_sq * t * (abs(gamma * p.v0) + big_p * big_p) / (2.0 * big_p) ** 2
+        assert abs(res - naive) <= 1e-13 * scale
+        assert not flag
+
+    @given(
+        mass=st.floats(min_value=0.5, max_value=1e300),
+        v0=st.floats(min_value=0.0, max_value=1e308),
+        screening=st.floats(min_value=1e-3, max_value=1.0),
+        tensor_h=st.floats(min_value=0.0, max_value=6.0),
+        cs_ratio=st.floats(min_value=-1.0, max_value=1.9),
+        cps_ratio=st.floats(min_value=-1.9, max_value=1.0),
+        n=PARAMS["n"], kappa=PARAMS["kappa"], symmetry=PARAMS["symmetry"],
+    )
+    @settings(max_examples=300, deadline=None)
+    # the defect row of the naive sum (t rounds to 0 at its root), and
+    # `spectrum --v0 1e308`
+    @example(mass=475331604.6317678, v0=7.512088796728115e23, screening=1.5584049792948822,
+             tensor_h=0.0, cs_ratio=414797259.09713894 / 475331604.6317678,
+             cps_ratio=315190603.42978406 / 475331604.6317678, n=0, kappa=2, symmetry=PSPIN)
+    @example(mass=5.0, v0=1e308, screening=0.05, tensor_h=0.0, cs_ratio=1.2, cps_ratio=-1.1,
+             n=0, kappa=-1, symmetry=PSPIN)
+    def test_flag_false_at_extreme_inputs(self, n, kappa, symmetry, **physical):
+        p = drawn_params(**physical)
+        lo, hi = strict_window(p, symmetry)
+        e = np.linspace(lo, hi, 4001)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, flag, _ = _rearranged_vec(p, n, kappa, symmetry, e)
+        assert not flag.any()
+
+    def test_huge_v0_prints_roots(self, tmp_path):
+        # the naive sum printed E = -2.29454657, residual -5.5e273, in every
+        # row, and its solve returned 383 non-roots
+        out = tmp_path / "out.csv"
+        assert cli.main(["spectrum", "--v0", "1e308", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["E"] for row in rows] == ["-0.500555624", "-0.505005568", "-0.513932023"]
+        assert all(abs(float(row["residual"])) <= 1e-9 for row in rows)
+        p = caption_params(v0=1e308)
+        for n in range(3):
+            (sol,) = solve_energies(p, n, -1, PSPIN, mode="relaxed")
+            assert abs(sol.residual) <= 1e-9
+
+
+class TestBisectionStops:
+    """A bracket whose midpoint rounds to one of its ends is done: above
+    |E| = 8192 the doubles near a root are wider than tol = 1e-12."""
+
+    @pytest.mark.parametrize("mass", [1e4, 1e6])
+    @pytest.mark.parametrize("symmetry, n, kappa", [(PSPIN, 1, -1), (SPIN, 0, -2)])
+    def test_large_mass_stops_early(self, monkeypatch, mass, symmetry, n, kappa):
+        p = PhysicalParams(mass=mass, v0=1.0, screening=0.05, c_spin=1.2 * mass, c_pspin=-1.1 * mass)
+        calls = []
+        residual_columns = dirac_iqy._residual_columns
+
+        def counted(*args):
+            calls.append(1)
+            return residual_columns(*args)
+
+        monkeypatch.setattr(dirac_iqy, "_residual_columns", counted)
+        sols = solve_energies(p, n, kappa, symmetry, mode="relaxed")
+        assert sols and len(calls) <= 60
+        # reference_solve bisects 200 times, the old cap
+        assert repr(sols) == repr(reference_solve(p, n, kappa, symmetry))
 
 
 class TestBranchSelection:

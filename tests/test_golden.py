@@ -6,7 +6,10 @@ pseudospin were merged into one symmetry record, the fractional-H spectrum
 before the states of a table were bisected in one batch, the tensor
 wavefunction CSV before a dump was built from one evaluation of the closed
 form, its JSON twin before the sample table was formatted a block of rows at
-a time.
+a time. The residual cells of the three spectrum files were re-captured
+when the residual's t = gamma*V0 + P^2 became the proof's sum without
+cancellation, (lambda - 1/2)^2 + (n + 1/2)(P + q); every other cell is as
+first written.
 Any difference, including the noise-level residual column, is a regression,
 not a reason to regenerate them.
 """
