@@ -385,7 +385,9 @@ def solve_batch(
     scan window, so states sharing the bits of those eight floats share one
     solve: doublet partners at H = 0, whose condition sees kappa and H only
     through (lambda - 1/2)^2, and a kappa shifted by 2H. Each distinct solve's
-    grid is scanned on its own with its own coefficients, then the
+    grid is scanned on its own with its own coefficients; an end that only
+    ``WINDOW_MARGIN`` keeps off a strict threshold takes the threshold as one
+    more point, which brackets a root hidden in the margin. Then the
     sign-change brackets of every solve are bisected in one loop, each
     bracket with its own coefficient columns and its own ``live`` mask, so no
     bracket's path depends on the others: every list is the one the state
@@ -416,7 +418,11 @@ def solve_batch(
             lo, hi = bound
             if not math.isfinite(hi - lo):
                 raise OverflowError(f"scan window ({lo}, {hi}) is wider than the largest float")
-            e_grid = _scan_grid(lo, hi)
+            # beta^2 = 0 at a threshold, where the residual is -4 alpha^2 (t / 2P)^2 < 0
+            t_lo, t_hi = sorted((coeff[0], coeff[1] - coeff[0]))
+            head = [t_lo] if t_lo < lo == t_lo + WINDOW_MARGIN else []
+            tail = [t_hi] if hi == t_hi - WINDOW_MARGIN < t_hi else []
+            e_grid = np.concatenate((head, _scan_grid(lo, hi), tail))
         res, _, _ = _residual_columns(e_grid, *coeff)
         cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
         zeros.append(e_grid[res == 0.0])
@@ -475,10 +481,10 @@ def solve_energies(
     """All roots of the squared residual in the scan window: ``solve_batch``
     of one state.
 
-    ``mode='relaxed'`` returns every root: a 2000-cell scan brackets every
-    sign change and all brackets are bisected together until each is
-    narrower than ``tol`` or has no double between its ends; pseudospin
-    keeps the negative-energy branch.
+    ``mode='relaxed'`` returns every root: a 2000-cell scan, closed by the
+    strict thresholds, brackets every sign change, and all brackets are
+    bisected until each is narrower than ``tol`` or has no double between
+    its ends; pseudospin keeps the negative-energy branch.
     ``mode='strict'`` checks its inputs and the window, then returns [], as
     no root has principal square roots: with q = sqrt(radicand) >= 0 one
     needs t = gamma*V0 + P^2 <= 0 (the sign flag of ``_rearranged_vec``),

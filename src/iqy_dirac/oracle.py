@@ -547,12 +547,10 @@ def _match_index(family: ProblemFamily, window: Tuple[float, float]) -> Optional
 
 
 def _refine(family: ProblemFamily, m_idx: int, lo, hi, flo, fhi, tol: float) -> float:
-    """Illinois false-position iteration inside a sign-change bracket."""
+    """Illinois false position in a sign-change bracket until ``tol`` or no double is left."""
     a, b, fa, fb = float(lo), float(hi), float(flo), float(fhi)
     side = 0
-    for _ in range(120):
-        if b - a <= tol:
-            break
+    while b - a > tol and a < 0.5 * (a + b) < b:
         denom = fb - fa
         c = (a * fb - b * fa) / denom if denom != 0.0 else 0.5 * (a + b)
         if not a < c < b:

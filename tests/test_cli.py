@@ -497,6 +497,19 @@ class TestCrosscheck:
         cfg.out = str(tmp_path / "cc.txt")
         assert cmd_crosscheck(cfg) == 3
 
+    def test_configured_shooting_root_fails(self, tmp_path, monkeypatch):
+        # the strict closed-form set is empty, so one shooting root in the
+        # family that n = 0, 1, 2 share is a failure on each of their lines
+        monkeypatch.setattr(oracle, "scan_eigenvalues", lambda *args, **kwargs: [(-3.0, 0)])
+        out = tmp_path / "cc.txt"
+        argv = ["crosscheck", "--symmetry", "pspin", "--n-min", "0", "--n-max", "2",
+                "--kappa", "-1", "--out", str(out)]
+        assert run_main(argv) == 3
+        lines = out.read_text().splitlines()
+        fails = [line for line in lines if "FAIL" in line]
+        assert fails == [f"n={n} kappa=-1 H=0 FAIL: 0 closed-form vs 1 shooting roots" for n in range(3)]
+        assert lines[-1] == "# failures=3"
+
     @pytest.mark.parametrize(
         "argv,scans",
         [

@@ -255,6 +255,11 @@ class TestResiduals:
             # spin inner radicand fails above the cap energy
             energy_residual_rearranged(p, 0, -2, 4.9, SPIN)
 
+    @pytest.mark.parametrize("residual", [energy_residual_raw, energy_residual_rearranged])
+    def test_negative_n_rejected(self, residual):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            residual(caption_params(), -1, -1, -3.0, PSPIN)
+
     def test_pspin_partner_residual_identity_h0(self):
         p = caption_params()
         lo, hi = strict_window(p, PSPIN)
@@ -420,7 +425,8 @@ class TestSolveEnergies:
 def reference_solve(p, n, kappa, symmetry, window=None, tol=1e-12):
     """solve_energies(mode="relaxed") as written before states were batched:
     one state's brackets bisected together, the residual written out with
-    the state's coefficients as Python floats."""
+    the state's coefficients as Python floats. A strict threshold closes the
+    grid at an end that the margin alone keeps off it."""
 
     def residual(e):
         gamma = gamma_factor(p, e, symmetry)
@@ -439,6 +445,11 @@ def reference_solve(p, n, kappa, symmetry, window=None, tol=1e-12):
     lo, hi = bounds
     step = (hi - lo) / 2000.0
     e_grid = np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1)
+    t_lo, t_hi = strict_window(p, symmetry)
+    if t_lo < lo == t_lo + WINDOW_MARGIN:
+        e_grid = np.concatenate(([t_lo], e_grid))
+    if hi == t_hi - WINDOW_MARGIN < t_hi:
+        e_grid = np.concatenate((e_grid, [t_hi]))
     res, _ = residual(e_grid)
     cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
     a, b, fa = e_grid[cells], e_grid[cells + 1], res[cells]
@@ -540,6 +551,12 @@ class TestBatchedSolve:
              rows=[(1.0, 0.05, 5.0, 1, -2), (1.0, 0.05, 0.0, 1, 3)], window=None, tol=1e-12)
     @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=PSPIN,
              rows=[(1.0, 0.05, 0.0, 1, -1), (1.0, 0.05, -0.0, 1, -1)], window=(0.0, 0.9), tol=1e-12)
+    # roots about alpha^2 from a threshold, inside the margin: each is
+    # bracketed by the threshold and the scan window's end
+    @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=PSPIN,
+             rows=[(1.0, 1e-5, 0.0, 1, -1), (1.0, 1e-5, 0.0, 0, 2)], window=None, tol=1e-12)
+    @example(mass=5.0, cs_ratio=1.2, cps_ratio=-1.1, symmetry=SPIN,
+             rows=[(1.0, 1e-5, 0.0, 0, -2), (1.0, 1e-5, 0.0, 1, 1)], window=None, tol=1e-12)
     # both fractions round to the domain's lower end: a window with lo >= hi
     @example(mass=1.0, cs_ratio=0.0, cps_ratio=0.0, symmetry=PSPIN,
              rows=[(0.0, 1.0, 0.0, 0, 1)], window=(-3.6398099693107306e-67, 0.0), tol=1e-12)
@@ -563,8 +580,9 @@ class TestBatchedSolve:
         grids = []
         residual_columns = dirac_iqy._residual_columns
 
+        # a scan grid is 2001 or 2002 points, plus a threshold at either end
         def counted(e, *coeff):
-            if np.size(e) in (2001, 2002):
+            if 2001 <= np.size(e) <= 2004:
                 grids.append(np.size(e))
             return residual_columns(e, *coeff)
 
@@ -771,6 +789,89 @@ class TestBisectionStops:
         assert sols and len(calls) <= 60
         # reference_solve bisects 200 times, the old cap
         assert repr(sols) == repr(reference_solve(p, n, kappa, symmetry))
+
+
+class TestThresholdEnds:
+    """Relaxed roots sit about alpha^2 from a threshold, so at alpha = 1e-5
+    they lie inside WINDOW_MARGIN. A threshold, where beta^2 = 0 and the
+    residual is -4 alpha^2 (t / 2P)^2 < 0, closes the scan at an end that
+    only the margin keeps off it, and that end cell brackets the root."""
+
+    @staticmethod
+    def _grids(monkeypatch):
+        grids = []
+        residual_columns = dirac_iqy._residual_columns
+
+        def recorded(e, *coeff):
+            if np.size(e) >= 2001:
+                grids.append(np.array(e))
+            return residual_columns(e, *coeff)
+
+        monkeypatch.setattr(dirac_iqy, "_residual_columns", recorded)
+        return grids
+
+    @pytest.mark.parametrize(
+        "symmetry, n, kappa, want",
+        [(PSPIN, 1, -1, [-4.9999999998, -0.5000000002]), (SPIN, 0, -2, [1.0000000001])],
+    )
+    def test_weak_screening_roots(self, symmetry, n, kappa, want):
+        # each root lies inside the margin, where only the threshold's end
+        # cell brackets it
+        sols = solve_energies(caption_params(screening=1e-5), n, kappa, symmetry, mode="relaxed")
+        assert len(sols) == len(want)
+        assert all(abs(sol.e - e) <= 1e-12 for sol, e in zip(sols, want))
+
+    @pytest.mark.parametrize("symmetry, kappas, e", [(PSPIN, "-1,2", "-5"), (SPIN, "-2,1", "1")])
+    def test_spectrum_prints_roots_at_weak_screening(self, tmp_path, symmetry, kappas, e):
+        # a scan that ended at the margin printed nan in every row
+        out = tmp_path / "out.csv"
+        argv = ["spectrum", "--screening", "1e-5", "--symmetry", symmetry,
+                "--n-min", "0", "--n-max", "1", "--kappa", kappas, "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["E"] for row in rows] == [e] * 4
+        assert all(abs(float(row["residual"])) <= 2e-12 for row in rows)
+
+    def test_wavefunction_dumps_at_weak_screening(self, tmp_path):
+        out = tmp_path / "wf.csv"
+        assert cli.main(["wavefunction", "--screening", "1e-5", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "# E=-5 strict_valid=false"
+
+    def test_margin_ends_take_the_thresholds(self, monkeypatch):
+        # pspin: both ends are thresholds; spin: the inner-root cap
+        # 1 + 2.25 / V0 sets the upper end, which stays as it is
+        grids = self._grids(monkeypatch)
+        p = caption_params()
+        solve_energies(p, 1, -1, PSPIN, mode="relaxed")
+        solve_energies(p, 0, -2, SPIN, mode="relaxed")
+        pspin, spin = grids
+        lo, hi = scan_window(p, 1, -1, PSPIN)
+        assert (pspin[0], pspin[1], pspin[-2], pspin[-1]) == (-5.0, lo, hi, -0.5)
+        lo, hi = scan_window(p, 0, -2, SPIN)
+        assert (spin[0], spin[1], spin[-1]) == (1.0, lo, hi)
+        assert hi == 3.25 - WINDOW_MARGIN
+
+    def test_user_window_ends_stay(self, monkeypatch):
+        # each window ends inside the strict domain at one end and past it
+        # at the other, where the margin sets the end and the threshold closes it
+        grids = self._grids(monkeypatch)
+        p = caption_params()
+        solve_energies(p, 1, -1, PSPIN, window=(-5.2, -2.0), mode="relaxed")
+        solve_energies(p, 1, -1, PSPIN, window=(-4.0, 0.0), mode="relaxed")
+        low_clip, high_clip = grids
+        assert (low_clip[0], low_clip[-1]) == (-5.0, -2.0 - WINDOW_MARGIN)
+        assert (high_clip[0], high_clip[-1]) == (-4.0 + WINDOW_MARGIN, -0.5)
+
+    @given(**PARAMS)
+    @settings(max_examples=200, deadline=None)
+    def test_residual_negative_at_thresholds(self, n, kappa, symmetry, **physical):
+        # beta^2 = 0 and t > 0 there; gamma may round to one ulp off 0 at
+        # C - s*M, which only alpha below about 1e-8 could notice
+        p = drawn_params(**physical)
+        for e in strict_window(p, symmetry):
+            res, _, _ = _rearranged_vec(p, n, kappa, symmetry, e)
+            # nan where the inner radicand fails, and no end is closed there
+            assert not res >= 0.0
 
 
 class TestBranchSelection:

@@ -813,6 +813,83 @@ class TestShootReference:
             assert abs(shot - coulomb_energy(1.0, -1.0, n, 1)) <= 1e-6
 
 
+def _reference_refine(family, m_idx, lo, hi, flo, fhi, tol):
+    """_refine as first written, under a 120-step cap. The matching function
+    is deterministic, so an energy the loop returns to once its bracket has
+    stopped shrinking is looked up, not marched again."""
+    matched = {}
+    a, b, fa, fb = float(lo), float(hi), float(flo), float(fhi)
+    side = 0
+    for _ in range(120):
+        if b - a <= tol:
+            break
+        denom = fb - fa
+        c = (a * fb - b * fa) / denom if denom != 0.0 else 0.5 * (a + b)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        if c not in matched:
+            matched[c] = _match_scalar(family, c, m_idx)[0]
+        fc = matched[c]
+        if fc == 0.0:
+            return c
+        if fa * fc < 0.0:
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = c, fc
+            if side == +1:
+                fb *= 0.5
+            side = +1
+    return 0.5 * (a + b)
+
+
+class TestRefineReference:
+    """_refine stops once tol is met or no double lies strictly between the
+    ends of its bracket. Such a bracket never moved again under the old
+    120-step cap, so every root is the one the cap returned."""
+
+    FAMILIES = {
+        **{f"coulomb_k{k}": (lambda k=k: coulomb_family(1.0, -1.0, k), (-0.999, -0.02), 240)
+           for k in (1, 2, -1, 3)},
+        # the acceptance criterion 8 families
+        **{f"hard_wall_{alpha}_{approximate}": (
+            lambda alpha=alpha, approximate=approximate: spin_family(
+                caption_params(screening=alpha), -2, approximate=approximate,
+                r_min=0.05, r_max=15.0, step=1e-3, hard_wall=True,
+            ), (3.5, 4.9), 120)
+           for alpha in (0.2, 0.1, 0.05) for approximate in (False, True)},
+    }
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-16, 1e-300])
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_roots_match_the_capped_loop(self, name, tol, monkeypatch):
+        make, window, points = self.FAMILIES[name]
+        family = make()
+        scan = oracle._scan(family, window, tol, points)
+        assert scan is not None and len(scan.cells)
+        calls = []
+        match_scalar = oracle._match_scalar
+
+        def counted(*args):
+            calls.append(args)
+            return match_scalar(*args)
+
+        for i in scan.cells.tolist():
+            args = (family, scan.m_idx, scan.energies[i], scan.energies[i + 1],
+                    scan.mismatch[i], scan.mismatch[i + 1], tol)
+            want = _reference_refine(*args)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_match_scalar", counted)
+                got = _refine(*args)
+            assert repr(got) == repr(want)
+            # 11 to 22 matches on these 30 roots at tol 1e-300; the capped
+            # loop made 120 whenever tol was below the doubles' spacing
+            assert len(calls) <= 24
+
+
 class TestInputChecks:
     """Bad arguments fail with ValueError before any march."""
 

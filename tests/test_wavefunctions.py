@@ -143,6 +143,12 @@ class TestSpinComponents:
         wf = assemble_wavefunction(p, sol, n, kappa, SPIN)
         assert first_order_residual(p, wf) <= 1e-6
 
+    def test_centrifugal_radicand_not_real_above_cap(self):
+        # beta^2 = 4 > 0 at e = 3, inside the strict window (1, 5), but above
+        # the inner-root cap 1 + 0.25 / V0 = 1.25 of kappa = -1
+        with pytest.raises(ExponentNotReal, match=r"^centrifugal radicand = -1.75 < 0 at e = 3.0$"):
+            assemble_wavefunction(caption_params(), 3.0, 0, -1, SPIN)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # as for pspin
     def test_threshold_error(self):
         p = caption_params()
