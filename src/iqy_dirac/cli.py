@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -287,39 +287,72 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # fragmentation; blocks keep it flat.
 _SAMPLE_BLOCK = 128
 _CSV_SAMPLE_ROW = "%.9g,%.9g,%.9g,%.9g"
-_JSON_SAMPLE_ROW = '    {\n      "r": %s,\n      "s": %s,\n      "F": %s,\n      "G": %s\n    }'
+_JSON_SAMPLE_ROW = '    {\n      "r": %.9g,\n      "s": %.9g,\n      "F": %.9g,\n      "G": %.9g\n    }'
 
 
-def _row_blocks(table: np.ndarray):
-    """(row count, flat tuple of cells) of each block of _SAMPLE_BLOCK rows."""
+def _format_samples(
+    table: np.ndarray, row: str, sep: str, picks: np.ndarray, cell_text: Callable[[float], str]
+) -> str:
+    """The rows of an (N, 4) sample table, each ``row`` filled with its four
+    cells by "%.9g", joined by ``sep``: one % operation per block of
+    _SAMPLE_BLOCK rows. A cell where the boolean (N, 4) ``picks`` is true is
+    printed as ``cell_text(value)`` instead, through a "%s" in its place."""
+    texts = []
+    picked_row = row.replace("%.9g", "%s")
     for start in range(0, len(table), _SAMPLE_BLOCK):
         block = table[start : start + _SAMPLE_BLOCK]
-        yield len(block), tuple(block.ravel().tolist())
+        cells = block.ravel().tolist()
+        template = sep.join([row] * len(block))
+        picked = np.flatnonzero(picks[start : start + _SAMPLE_BLOCK]).tolist()
+        if picked:
+            specs = ["%.9g"] * len(cells)
+            for i in picked:
+                specs[i], cells[i] = "%s", cell_text(cells[i])
+            template = sep.join([picked_row] * len(block)) % tuple(specs)
+        texts.append(template % tuple(cells))
+    return sep.join(texts)
 
 
 def _csv_samples(table: np.ndarray) -> str:
     """The CSV lines of an (N, 4) sample table; fmt_float prints every
     non-finite value as nan."""
-    finite = np.where(np.isfinite(table), table, np.nan)
-    return "\n".join("\n".join([_CSV_SAMPLE_ROW] * rows) % cells for rows, cells in _row_blocks(finite))
+    return _format_samples(table, _CSV_SAMPLE_ROW, "\n", ~np.isfinite(table), fmt_float)
 
 
-def _json_number(cell: str) -> str:
-    """json's text for _round9 of the float that "%.9g" printed as ``cell``."""
-    value = float(cell)
-    return repr(value) if math.isfinite(value) else "null"
+def _json_number(x: float) -> str:
+    """json's text for _round9 of ``x``."""
+    return json.dumps(_round9(x))
+
+
+def _json_picks(table: np.ndarray) -> np.ndarray:
+    """A superset of the cells whose "%.9g" text is not json's text for
+    their 9-digit rounding r, which _json_number writes.
+
+    The text of a normal r (|r| >= 2**-1022) has at most 9 significant
+    digits, trailing zeros stripped. Two such decimals lie at least
+    1e-9 * |r| apart, and a normal double's ulp is at most 2**-52 * |r|, so
+    no other decimal of at most 9 digits rounds to the same double, and
+    repr's shortest round-trip digits are the text's own. Both write the
+    exponent form below 1e-4 the same way ("1.5e-05"). They part on the form
+    only where r is a whole number below 1e16: repr writes "3.0" and
+    "1500000000.0" where %g writes "3" and "1.5e+09".
+
+    So the picks are: non-finite x, which json writes as null; |x| below
+    2.3e-308, which holds zero and every x whose r may be subnormal; and x
+    within 1e-8 * |x| of a whole number. The last holds every x whose r is
+    whole (0.9999999996 prints as "1"): x lies within 5e-9 * |x| of r, and
+    below 1e8 that is less than 0.5, so r is rint(x); from 1e8 up any x is
+    within 0.5 of rint(x)."""
+    magnitude = np.abs(table)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near_whole = np.abs(table - np.rint(table)) <= 1e-8 * magnitude
+    return ~np.isfinite(table) | (magnitude < 2.3e-308) | near_whole
 
 
 def _json_samples(table: np.ndarray) -> str:
     """The items of the "samples" list of an (N >= 1, 4) sample table, as
     json.dumps(..., indent=2) writes them inside the dump's top-level dict."""
-    blocks = []
-    for rows, cells in _row_blocks(table):
-        texts = ("\n".join(["%.9g"] * len(cells)) % cells).split("\n")
-        # a fixed-notation %.9g cell with a point is already repr's text
-        texts = [t if "." in t and "e" not in t else _json_number(t) for t in texts]
-        blocks.append(",\n".join([_JSON_SAMPLE_ROW] * rows) % tuple(texts))
-    return ",\n".join(blocks)
+    return _format_samples(table, _JSON_SAMPLE_ROW, ",\n", _json_picks(table), _json_number)
 
 
 def cmd_wavefunction(cfg: RunConfig) -> int:
@@ -343,9 +376,10 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         "back_substitution_residual": first_order_residual(params, wf),
     }
     # the 2001-row sample table, formatted a block of rows at a time with one
-    # % operation and a repeated row template per block, not a Python call
-    # per cell; each cell is byte-equal to fmt_float (CSV) or to json's repr
-    # of the 9-digit rounding _round9 (JSON)
+    # % operation and a repeated "%.9g" row template per block, not a Python
+    # call per cell; only the cells whose %.9g text could differ from
+    # fmt_float (non-finite, CSV) or from json's repr of the 9-digit rounding
+    # _round9 (JSON) go through those formatters
     table = np.column_stack((wf.r_grid, wf.s_map, wf.upper, wf.lower))
     if cfg.fmt == "json":
         meta_json = {key: _json_cell(value) for key, value in meta.items()}

@@ -411,7 +411,7 @@ def solve_batch(
         key = struct.pack("6d", *coeff) + (b"" if bound is None else struct.pack("2d", *bound))
         keys.append(key)
         distinct.setdefault(key, (coeff, bound))
-    zeros, lows, highs, f_lows, counts = [], [], [], [], []
+    zeros, lows, highs, low_signs, counts = [], [], [], [], []
     for coeff, bound in distinct.values():
         e_grid = np.empty(0)
         if bound is not None:
@@ -424,13 +424,16 @@ def solve_batch(
             tail = [t_hi] if hi == t_hi - WINDOW_MARGIN < t_hi else []
             e_grid = np.concatenate((head, _scan_grid(lo, hi), tail))
         res, _, _ = _residual_columns(e_grid, *coeff)
-        cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
+        # Signs, not products, find and bisect the brackets: the product of
+        # two tiny residuals underflows to -0.0, and times +-1 is exact.
+        signs = np.sign(res)
+        cells = np.flatnonzero(signs[:-1] * res[1:] < 0.0)
         zeros.append(e_grid[res == 0.0])
         lows.append(e_grid[cells])
         highs.append(e_grid[cells + 1])
-        f_lows.append(res[cells])
+        low_signs.append(signs[cells])
         counts.append(len(cells))
-    a, b, fa = (np.concatenate([np.empty(0), *parts]) for parts in (lows, highs, f_lows))
+    a, b, sign_a = (np.concatenate([np.empty(0), *parts]) for parts in (lows, highs, low_signs))
     coeffs = [coeff for coeff, _ in distinct.values()]
     # row k holds coefficient k of every bracket's state
     columns = np.repeat(np.array(coeffs).reshape(-1, 6).T, counts, axis=1)
@@ -443,7 +446,8 @@ def solve_batch(
         if not live.any():
             break
         fmid, _, _ = _residual_columns(mid, *columns)
-        left = fa * fmid < 0.0
+        # a moves only to a midpoint of its own sign, so sign_a stays true
+        left = sign_a * fmid < 0.0
         # an exact zero closes the bracket on itself
         b = np.where(live & (left | (fmid == 0.0)), mid, b)
         a = np.where(live & ~left, mid, a)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqy_dirac import cli, dirac_iqy, oracle, reference_tables
 from iqy_dirac.cli import (
@@ -24,6 +26,7 @@ from iqy_dirac.cli import (
     main,
 )
 from iqy_dirac.errors import ConfigError
+from test_golden import GOLDEN
 
 
 def run_main(argv):
@@ -437,11 +440,23 @@ class TestWavefunction:
 # non-finite values, signed zeros, subnormals, the exponent extremes,
 # integer-valued floats, [1e9, 1e16) (where %g and repr disagree on
 # notation), the fixed/exponent edge at 1e-4, and values %.9g rounds to it.
+# Then cells on both sides of each bound of the JSON mask: values %.9g
+# rounds to a whole number or not (0.99999999949 prints as 0.999999999,
+# 0.9999999995 as 1), the notation edges at 1e9 and 1e16, the smallest
+# normal, 2.3e-308, and whole numbers times 1 +- 1e-9 (inside the mask's
+# 1e-8 relative slack, still printed whole) and 1 +- 2e-8 (outside it below
+# 5e7, where no longer printed whole).
+WHOLE = [1.0, 7.0, 20.0, 123.0, 99999.0, 5e7, 123456789.0]
 SPECIAL_CELLS = [
     math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
     1e300, -1e300, 1e-300, -1e-300, 1.0, 20.0, -1.0, 123456789.0, 99999999.95,
     1e9, 1234567890.0, -123456789012.0, 1.23456789e11, 9.99999999e15, 1e16,
     1e-4, np.nextafter(1e-4, 0.0), 9.9999999e-5, 9.99999999949e-5, -0.000123,
+    0.99999999949, 0.9999999995, 1.0000000049, 1.000000005, -0.9999999995,
+    999999999.4, 999999999.5, 9.9999999949e15, 9.999999995e15,
+    2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+    np.nextafter(2.2250738585072014e-308, 1.0), 2.3e-308, np.nextafter(2.3e-308, 0.0),
+    *(w * f for w in WHOLE for f in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 2e-8, 1.0 + 2e-8)),
 ]
 
 
@@ -456,6 +471,25 @@ def sample_table(rows):
     return values.reshape(rows, 4)
 
 
+def csv_reference(table):
+    return "\n".join(",".join(fmt_float(x) for x in row) for row in table.tolist())
+
+
+def json_reference(table):
+    items = [dict(zip("rsFG", map(cli._round9, row))) for row in table.tolist()]
+    return json.dumps({"samples": items}, indent=2)
+
+
+def json_dump(table):
+    return '{\n  "samples": [\n' + cli._json_samples(table) + "\n  ]\n}"
+
+
+# any 64-bit pattern: NaN payloads, infinities, subnormals and both zeros
+any_float = st.integers(min_value=0, max_value=2**64 - 1).map(
+    lambda bits: float(np.uint64(bits).view(np.float64))
+)
+
+
 class TestSampleTable:
     # the block formatter against the per-cell formatters it replaces, across
     # the block seams
@@ -464,15 +498,81 @@ class TestSampleTable:
     @pytest.mark.parametrize("rows", SIZES)
     def test_csv_cells_equal_fmt_float(self, rows):
         table = sample_table(rows)
-        reference = "\n".join(",".join(fmt_float(x) for x in row) for row in table.tolist())
-        assert cli._csv_samples(table) == reference
+        assert cli._csv_samples(table) == csv_reference(table)
 
     @pytest.mark.parametrize("rows", SIZES)
     def test_json_items_equal_json_dumps(self, rows):
         table = sample_table(rows)
-        items = [dict(zip("rsFG", map(cli._round9, row))) for row in table.tolist()]
-        reference = json.dumps({"samples": items}, indent=2)
-        assert '{\n  "samples": [\n' + cli._json_samples(table) + "\n  ]\n}" == reference
+        assert json_dump(table) == json_reference(table)
+
+    @pytest.mark.parametrize("x", SPECIAL_CELLS)
+    def test_special_cell(self, x):
+        table = np.full((1, 4), x)
+        assert cli._csv_samples(table) == csv_reference(table)
+        assert json_dump(table) == json_reference(table)
+
+    @given(
+        st.integers(min_value=1, max_value=cli._SAMPLE_BLOCK + 2).flatmap(
+            lambda rows: st.lists(any_float, min_size=4 * rows, max_size=4 * rows)
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_bits(self, cells):
+        table = np.array(cells).reshape(-1, 4)
+        assert cli._csv_samples(table) == csv_reference(table)
+        assert json_dump(table) == json_reference(table)
+
+    @given(any_float)
+    @settings(max_examples=2000, deadline=None)
+    def test_unpicked_cell_prints_as_json(self, x):
+        # the mask's claim, one cell at a time
+        if not cli._json_picks(np.array([x]))[0]:
+            assert "%.9g" % x == json.dumps(cli._round9(x))
+
+
+class TestSampleDumps:
+    @staticmethod
+    def _counted_json_number(monkeypatch):
+        calls = []
+        json_number = cli._json_number
+
+        def counted(x):
+            calls.append(x)
+            return json_number(x)
+
+        monkeypatch.setattr(cli, "_json_number", counted)
+        return calls
+
+    @pytest.mark.parametrize("screening", [0.03, 0.12])
+    def test_criterion_7_dumps_pick_no_cell(self, monkeypatch, tmp_path, screening):
+        # acceptance criterion 7's states at both ends of the bench's
+        # screening range: every sample cell goes through the one % fill
+        calls = self._counted_json_number(monkeypatch)
+        states = [("pspin", n, k) for n, k in ((0, -1), (1, -1), (2, -2), (1, 2))]
+        states += [("spin", n, k) for n, k in ((0, -2), (1, 1))]
+        out = tmp_path / "wf.json"
+        for symmetry, n, kappa in states:
+            for h in ("0", "5"):
+                argv = [
+                    "wavefunction", "--symmetry", symmetry, "--mass", "5", "--v0", "1",
+                    "--cs", "6", "--cps", "-5.5", "--screening", str(screening),
+                    "--tensor-h", h, "--n", str(n), "--single-kappa", str(kappa),
+                    "--format", "json", "--out", str(out),
+                ]
+                assert main(argv) == 0
+                assert len(json.loads(out.read_text())["samples"]) == 2001
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(n for n in GOLDEN if n.startswith("wavefunction")))
+    def test_json_samples_equal_csv_rows(self, tmp_path, name):
+        argv = [a for a in GOLDEN[name] if a not in ("--format", "json")]
+        csv_out, json_out = tmp_path / "wf.csv", tmp_path / "wf.json"
+        assert main(argv + ["--out", str(csv_out)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+        lines = csv_out.read_text().splitlines()
+        rows = [[float(x) for x in line.split(",")] for line in lines[lines.index("r,s,F,G") + 1 :]]
+        samples = json.loads(json_out.read_text())["samples"]
+        assert [[s[key] for key in "rsFG"] for s in samples] == rows
 
 
 class TestCrosscheck:

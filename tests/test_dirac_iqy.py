@@ -874,6 +874,45 @@ class TestThresholdEnds:
             assert not res >= 0.0
 
 
+class TestSignUnderflow:
+    """Brackets are found and bisected by the signs of the residuals, not by
+    their products, which underflow to -0.0 when both are tiny."""
+
+    def test_threshold_residual_is_subnormal(self):
+        # at alpha = 1e-160 the threshold's residual -4 alpha^2 (t / 2P)^2 is
+        # subnormal, and its product with the next grid point's is -0.0
+        p = caption_params(screening=1e-160)
+        lo, _ = scan_window(p, 0, -1, PSPIN)
+        (f_threshold, f_next), _, _ = _rearranged_vec(p, 0, -1, PSPIN, np.array([-5.0, lo]))
+        assert -1e-300 < f_threshold < 0.0 < f_next
+        assert f_threshold * f_next == 0.0
+        sols = solve_energies(p, 0, -1, PSPIN, mode="relaxed")
+        assert [round(sol.e, 9) for sol in sols] == [-5.0, -0.5]
+
+    @pytest.mark.parametrize("symmetry, kappa, e", [(PSPIN, "-1", "-5"), (SPIN, "-2", "1")])
+    def test_spectrum_prints_root(self, tmp_path, symmetry, kappa, e):
+        # the missed bracket printed nan
+        out = tmp_path / "out.csv"
+        argv = ["spectrum", "--screening", "1e-160", "--symmetry", symmetry,
+                "--n-min", "0", "--n-max", "0", "--kappa", kappa, "--out", str(out)]
+        assert cli.main(argv) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert row["E"] == e
+
+    def test_bisection_keeps_tiny_brackets(self, monkeypatch):
+        # a residual of 1e-155 (E - root): the scan's products are about
+        # 1e-316, but the bisection's fa * fmid underflows once the bracket
+        # is narrower than about 1e-11
+        root = -2.123456789012345
+
+        def tiny(e, *coeff):
+            return 1e-155 * (np.asarray(e) - root), None, 0.0
+
+        monkeypatch.setattr(dirac_iqy, "_residual_columns", tiny)
+        (sol,) = solve_energies(caption_params(), 1, -1, PSPIN, mode="relaxed")
+        assert abs(sol.e - root) <= 1e-12
+
+
 class TestBranchSelection:
     def test_pspin_picks_deepest(self):
         p = caption_params()
