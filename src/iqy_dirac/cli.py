@@ -26,14 +26,13 @@ from .dirac_iqy import (
     PSPIN,
     SPIN,
     PhysicalParams,
-    attach_radial_number,
     beta_squared,
     first_order_residual,
     greene_aldrich,
-    quantum_number_map,
     select_branch_root,
     solve_batch,
     solve_energies,
+    spectroscopic_label,
     symmetry_record,
 )
 from .errors import ConfigError, IoError, IqyDiracError, NoRoot
@@ -233,13 +232,13 @@ def _spectrum_row(
     cfg: RunConfig, n: int, kappa: int, h: float, sols: Sequence[dirac_iqy.EnergySolution]
 ) -> dict:
     sol = select_branch_root(sols, cfg.symmetry)
-    qn = attach_radial_number(quantum_number_map(kappa), n, cfg.symmetry)
+    n_spect, label = spectroscopic_label(n, kappa, cfg.symmetry)
     return {
         "symmetry": cfg.symmetry,
         "n_nu": n,
-        "n_spect": qn.n_spect,
+        "n_spect": n_spect,
         "kappa": kappa,
-        "label": qn.label,
+        "label": label,
         "H": h,
         "E": sol.e if sol else None,
         "residual": sol.residual if sol else None,

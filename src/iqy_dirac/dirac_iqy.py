@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -130,42 +130,19 @@ class PhysicalParams:
             raise ValueError(f"tensor_h must be nonnegative, got {self.tensor_h}")
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Spin-orbit number kappa with its derived orbital labels."""
+def spectroscopic_label(n: int, kappa: int, symmetry: str) -> Tuple[int, str]:
+    """(n_spect, label) of a state, e.g. (0, "0d3/2") for pspin n 1, kappa 2.
 
-    kappa: int
-    l: int
-    l_tilde: int
-    j: float
-    label: str
-    n_spect: Optional[int] = None
-
-
-def quantum_number_map(kappa: int) -> QuantumNumbers:
-    """Orbital and total angular momentum labels for a kappa value."""
-    if kappa == 0:
-        raise ZeroKappa("kappa = 0 does not label a Dirac partial wave")
-    j = abs(kappa) - 0.5
-    if kappa < 0:
-        l = -kappa - 1
-        l_tilde = -kappa
-    else:
-        l = kappa
-        l_tilde = kappa - 1
-    letter = _SPECTROSCOPIC[l] if l < len(_SPECTROSCOPIC) else f"[l={l}]"
-    return QuantumNumbers(kappa=kappa, l=l, l_tilde=l_tilde, j=j, label=f"{letter}{2 * abs(kappa) - 1}/2")
-
-
-def attach_radial_number(qn: QuantumNumbers, n: int, symmetry: str) -> QuantumNumbers:
-    """Attach the radial number and its spectroscopic relabeling.
-
+    The letter is the orbital l: kappa for kappa > 0, -kappa - 1 otherwise.
     Pseudospin states with kappa > 0 are listed one radial unit lower than
     the quantization degree; spin states keep the degree unchanged.
     """
-    sym = symmetry_record(symmetry)
-    n_spect = n - 1 if (sym.sign < 0.0 and qn.kappa > 0) else n
-    return replace(qn, n_spect=n_spect, label=f"{n_spect}{qn.label}")
+    if kappa == 0:
+        raise ZeroKappa("kappa = 0 does not label a Dirac partial wave")
+    l = kappa if kappa > 0 else -kappa - 1
+    letter = _SPECTROSCOPIC[l] if l < len(_SPECTROSCOPIC) else f"[l={l}]"
+    n_spect = n - 1 if (symmetry_record(symmetry).sign < 0.0 and kappa > 0) else n
+    return n_spect, f"{n_spect}{letter}{2 * abs(kappa) - 1}/2"
 
 
 def effective_centrifugal(kappa: int, tensor_h: float, symmetry: str) -> float:
@@ -652,11 +629,14 @@ def assemble_wavefunction(
 
 
 def first_order_residual(params: PhysicalParams, wf: RadialWavefunction) -> float:
-    """Back-substitution check of the coupled first-order pair.
+    """Derivative self-check of the companion, printed as
+    ``back_substitution_residual``; not a test of the radial equation.
 
-    The defining member of the pair is re-evaluated with an independent
-    small-step central-difference derivative of the dominant component's
-    closed form, normalized by the largest magnitude of the companion side.
+    ``assemble_wavefunction`` builds the companion from the same first-order
+    equation that this re-evaluates with a small-step central difference of
+    the dominant component's closed form. So lhs - rhs is scale *
+    (central difference - analytic derivative) of that one closed form,
+    normalized by the largest magnitude of the companion side.
     """
     sym = symmetry_record(wf.symmetry)
     r = wf.r_grid

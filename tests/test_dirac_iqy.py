@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from iqy_dirac.dirac_iqy import (
     WINDOW_MARGIN,
     PhysicalParams,
     _rearranged_vec,
-    attach_radial_number,
     beta_squared,
     effective_centrifugal,
     energy_residual_raw,
@@ -24,11 +24,11 @@ from iqy_dirac.dirac_iqy import (
     nu_coefficients,
     partner_kappa,
     pspin_nu_coefficients,
-    quantum_number_map,
     scan_window,
     select_branch_root,
     solve_batch,
     solve_energies,
+    spectroscopic_label,
     strict_window,
     symmetry_record,
 )
@@ -93,36 +93,72 @@ def drawn_params(mass, v0, screening, tensor_h, cs_ratio, cps_ratio):
     )
 
 
+# spectroscopic letters by l, j skipped
+LETTERS = "spdfghiklmnoqrtuvwxyz"
+
+
+def reference_label(n, kappa, symmetry):
+    """(n_spect, label) as ``quantum_number_map`` and ``attach_radial_number``
+    built them before ``spectroscopic_label``: the kappa record's label, then
+    a copy with the radial number attached."""
+    if kappa == 0:
+        raise ZeroKappa("kappa = 0 does not label a Dirac partial wave")
+    l = -kappa - 1 if kappa < 0 else kappa
+    letter = LETTERS[l] if l < len(LETTERS) else f"[l={l}]"
+    record_label = f"{letter}{2 * abs(kappa) - 1}/2"
+    n_spect = n - 1 if (symmetry_record(symmetry).sign < 0.0 and kappa > 0) else n
+    return n_spect, f"{n_spect}{record_label}"
+
+
+def label_parts(label):
+    """(n_spect, l, 2j) read back from a label such as "-1d3/2" or "0[l=21]41/2"."""
+    match = re.fullmatch(r"(-?\d+)(?:([a-z])|\[l=(\d+)\])(\d+)/2", label)
+    n_spect, letter, l_text, two_j = match.groups()
+    l = LETTERS.index(letter) if letter else int(l_text)
+    return int(n_spect), l, int(two_j)
+
+
+NONZERO_KAPPAS = [k for k in range(-25, 26) if k != 0]
+
+
 class TestQuantumNumbers:
     def test_aligned_kappa(self):
-        qn = quantum_number_map(-1)
-        assert (qn.l, qn.l_tilde, qn.j) == (0, 1, 0.5)
-        assert qn.label == "s1/2"
+        assert spectroscopic_label(0, -1, SPIN) == (0, "0s1/2")
 
     def test_unaligned_kappa(self):
-        qn = quantum_number_map(2)
-        assert (qn.l, qn.l_tilde, qn.j) == (2, 1, 1.5)
-        assert qn.label == "d3/2"
+        assert spectroscopic_label(0, 2, SPIN) == (0, "0d3/2")
 
-    @pytest.mark.parametrize("kappa", [k for k in range(-8, 9) if k != 0])
+    @pytest.mark.parametrize("kappa", NONZERO_KAPPAS)
     def test_identities(self, kappa):
-        qn = quantum_number_map(kappa)
-        assert kappa * (kappa - 1) == qn.l_tilde * (qn.l_tilde + 1)
-        assert kappa * (kappa + 1) == qn.l * (qn.l + 1)
-        assert qn.j == abs(kappa) - 0.5
+        # the letter's index l and the fraction 2j/2 read from the label, past
+        # the 21 letters too
+        for symmetry in (PSPIN, SPIN):
+            n_spect, label = spectroscopic_label(1, kappa, symmetry)
+            parsed_n, l, two_j = label_parts(label)
+            assert parsed_n == n_spect
+            assert kappa * (kappa + 1) == l * (l + 1)
+            assert two_j == 2 * abs(kappa) - 1
+
+    @pytest.mark.parametrize("symmetry", [PSPIN, SPIN])
+    def test_matches_the_record_pair(self, symmetry):
+        # kappa up to +-25 reaches past the 21 letters, into "[l=...]"
+        for n in range(4):
+            for kappa in NONZERO_KAPPAS:
+                assert spectroscopic_label(n, kappa, symmetry) == reference_label(n, kappa, symmetry)
+        assert spectroscopic_label(0, 21, SPIN) == (0, "0[l=21]41/2")
+        assert spectroscopic_label(0, -22, SPIN) == (0, "0[l=21]43/2")
+        assert spectroscopic_label(0, -21, SPIN) == (0, "0z41/2")
 
     def test_zero_kappa(self):
-        with pytest.raises(ZeroKappa):
-            quantum_number_map(0)
+        for symmetry in (PSPIN, SPIN):
+            with pytest.raises(ZeroKappa):
+                spectroscopic_label(1, 0, symmetry)
 
     def test_radial_relabeling(self):
-        qn = attach_radial_number(quantum_number_map(2), 1, PSPIN)
-        assert qn.n_spect == 0
-        assert qn.label == "0d3/2"
-        qn = attach_radial_number(quantum_number_map(-1), 1, PSPIN)
-        assert qn.n_spect == 1 and qn.label == "1s1/2"
-        qn = attach_radial_number(quantum_number_map(2), 1, SPIN)
-        assert qn.n_spect == 1 and qn.label == "1d3/2"
+        assert spectroscopic_label(1, 2, PSPIN) == (0, "0d3/2")
+        assert spectroscopic_label(1, -1, PSPIN) == (1, "1s1/2")
+        assert spectroscopic_label(1, 2, SPIN) == (1, "1d3/2")
+        assert spectroscopic_label(0, 1, PSPIN) == (-1, "-1p1/2")
 
 
 class TestEffectiveCentrifugal:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iqy_dirac import oracle
 from iqy_dirac.cli import COULOMB_ANCHOR_STATES
@@ -1188,3 +1190,64 @@ class TestWVerdict:
 
         monkeypatch.setattr(ProblemFamily, "effective_potential", no_grid_pass)
         assert scan_eigenvalues(family, scan_window(p, 0, kappa, symmetry), tol=1e-9) == []
+
+
+def hardy_margin(family, e):
+    """(min over the grid of r^2 (c0 + gamma c1) + 1/4, least W) at energy e:
+    W - beta^2 = c0 + gamma c1 is B(r) times 1/r^2 or the Greene-Aldrich
+    factor, with B = lambda (lambda - 1) - gamma V0 exp(-2 alpha r)."""
+    c0, c1 = family.coefficients(family.r)
+    gamma, bsq = map(float, family.couplings(e))
+    w_minus_bsq = c0 + gamma * c1
+    return float(np.min(family.r**2 * w_minus_bsq)) + 0.25, float(np.min(w_minus_bsq + bsq))
+
+
+class TestHardyLemma:
+    """No bound state for any parameter set, on the exact 1/r^2 equation and
+    on its Greene-Aldrich form: inside the scan window beta^2 > 0 and
+    rad = (lambda - 1/2)^2 - gamma V0 >= 0, so B(r) >= -1/4 (B >= rad - 1/4
+    where gamma V0 >= 0, B >= lambda (lambda - 1) = (lambda - 1/2)^2 - 1/4
+    otherwise). With 0 < r^2 c(r) <= 1 for both factors c, W >= -1/(4 r^2)
+    + beta^2, and Hardy's inequality (integral of u'^2 >= 1/4 integral of
+    u^2 / r^2 for u(0) = 0) leaves integral of u'^2 + W u^2 >= beta^2 integral
+    of u^2 > 0: no L^2 solution of u'' = W u exists."""
+
+    @given(
+        mass=st.floats(min_value=0.3, max_value=100.0),
+        v0=st.floats(min_value=1e-3, max_value=100.0),
+        screening=st.floats(min_value=0.01, max_value=1.0),
+        charge=st.floats(min_value=-20.0, max_value=20.0),
+        tensor_h=st.sampled_from([0.0, 0.3, 0.5, 1.7, 5.0]),
+        kappa=st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+        symmetry=st.sampled_from([PSPIN, SPIN]),
+        approximate=st.booleans(),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_margin_nonnegative_in_the_scan_window(
+        self, mass, v0, screening, charge, tensor_h, kappa, symmetry, approximate
+    ):
+        p = PhysicalParams(
+            mass=mass, v0=v0, screening=screening, tensor_h=tensor_h, c_spin=charge, c_pspin=charge
+        )
+        # C past -2M (pspin) or 2M (spin) leaves the strict window empty
+        assume(charge > -2.0 * mass if symmetry == PSPIN else charge < 2.0 * mass)
+        window = scan_window(p, 0, kappa, symmetry)
+        assume(window is not None)
+        family = iqy_family(p, kappa, symmetry, approximate=approximate, step=14.0 / screening / 4000)
+        lam = effective_centrifugal(kappa, tensor_h, symmetry)
+        for e in np.linspace(*window, 9).tolist():
+            gamma, _ = family.couplings(e)
+            # rounding in the grid factors and in c0 + gamma c1
+            slack = 1e-12 * (abs(lam * (lam - 1.0)) + abs(gamma * v0))
+            assert hardy_margin(family, e)[0] >= -slack, e
+
+    @pytest.mark.parametrize("approximate", [True, False])
+    @pytest.mark.parametrize("kappa", [-2, 1])
+    def test_w_dips_below_zero_where_the_lemma_holds(self, approximate, kappa):
+        # caption spin doublet at H 0: near the inner-root cap, W < 0 on part
+        # of the grid, so W >= 0 is not what excludes a bound state
+        p = caption_params()
+        family = iqy_family(p, kappa, SPIN, approximate=approximate, step=14.0 / 0.05 / 4000)
+        margins = [hardy_margin(family, e) for e in np.linspace(*scan_window(p, 0, kappa, SPIN), 9)]
+        assert all(margin > 0.0 for margin, _ in margins)
+        assert any(least_w < 0.0 for _, least_w in margins)
