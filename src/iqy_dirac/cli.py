@@ -27,7 +27,8 @@ from .dirac_iqy import (
     SPIN,
     PhysicalParams,
     beta_squared,
-    first_order_residual,
+    effective_centrifugal,
+    first_order_residual,  # noqa: F401  not called here; bench/spans.py patches it on cli
     greene_aldrich,
     select_branch_root,
     solve_batch,
@@ -372,7 +373,6 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         "E": sol.e,
         "strict_valid": False,  # by the proof in solve_energies
         "nodes": oracle.count_nodes(wf.dominant),
-        "back_substitution_residual": first_order_residual(params, wf),
     }
     # the 2001-row sample table, formatted a block of rows at a time with one
     # % operation and a repeated "%.9g" row template per block, not a Python
@@ -385,9 +385,9 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         head = json.dumps({"meta": meta_json}, indent=2)[: -len("\n}")]  # left open
         text = f'{head},\n  "samples": [\n{_json_samples(table)}\n  ]\n}}\n'
     else:
-        # the meta fields as three '#' lines: the state, its energy, its checks
+        # the meta fields as three '#' lines: the state, its energy, its nodes
         cells = [f"{key}={_csv_cell(value)}" for key, value in meta.items()]
-        lines = ["# " + " ".join(cells[a:b]) for a, b in ((0, 4), (4, 6), (6, 8))]
+        lines = ["# " + " ".join(cells[a:b]) for a, b in ((0, 4), (4, 6), (6, 7))]
         text = "\n".join([*lines, "r,s,F,G", _csv_samples(table)]) + "\n"
     _write_text(cfg.out, text)
     return 0
@@ -501,6 +501,33 @@ _PATTERNS = (
 )
 
 
+def _partner_matches(rows, symmetry: str, acting_h: float) -> Tuple[int, int]:
+    """(matched, testable) over a published table's H = 5 entries. The
+    partners of (n, kappa) at ``acting_h`` are the table's H = 0 entries
+    (n, kappa') whose condition is that of (n, kappa) at H = ``acting_h``: the
+    same (lambda - 1/2)^2, so kappa' = kappa + acting_h or its mirror. An
+    entry with a partner is testable, and matched when it equals one
+    partner's H = 0 entry as a printed string."""
+
+    def lq(kappa: int, h: float) -> float:
+        return (effective_centrifugal(kappa, h, symmetry) - 0.5) ** 2
+
+    entries = [
+        (row.n, kappa, energies)
+        for row in rows
+        for kappa, energies in ((row.kappa_aligned, row.e_aligned), (row.kappa_unaligned, row.e_unaligned))
+    ]
+    matched = testable = 0
+    for n, kappa, energies in entries:
+        partners = [
+            other[0.0] for m, k, other in entries if m == n and lq(k, 0.0) == lq(kappa, acting_h)
+        ]
+        if partners:
+            testable += 1
+            matched += energies[5.0] in partners
+    return matched, testable
+
+
 def cmd_reproduce_tables(cfg: RunConfig) -> int:
     _text_report_only(cfg, "reproduce-tables")
     lines = ["# benchmark-table reproduction report"]
@@ -544,6 +571,15 @@ def cmd_reproduce_tables(cfg: RunConfig) -> int:
         f"closest relaxed-branch approach to the anchor over the scan: {fmt_float(best_gap)}"
     )
 
+    lines.append("## tensor strength the published H=5 columns encode")
+    for acting_h in (1.0, 5.0):
+        for symmetry, (rows, _) in _PUBLISHED.items():
+            matched, testable = _partner_matches(rows, symmetry, acting_h)
+            lines.append(
+                f"{symmetry} H=5 entries equal to the H=0 entry of their H={acting_h:g} partner: "
+                f"{matched} of {testable}"
+            )
+
     lines.append("## internal degeneracy pattern of the published tables")
     failures = 0
     for name, holds in _PATTERNS:
@@ -584,9 +620,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("spectrum", cmd_spectrum, "energy sweep over (n, kappa, H)"),
         ("reproduce-tables", cmd_reproduce_tables, "benchmark reproduction report"),
         ("crosscheck", cmd_crosscheck, "closed form vs shooting oracle"),
-        ("wavefunction", cmd_wavefunction, "radial component dump"),
+        (
+            "wavefunction",
+            cmd_wavefunction,
+            "radial components of one state: n from --n or else --n-min, kappa from "
+            "--single-kappa or else the first --kappa, H from the first --tensor-h",
+        ),
     ):
-        sub.add_parser(name, parents=[common], help=text).set_defaults(run=run)
+        sub.add_parser(name, parents=[common], help=text, description=text).set_defaults(run=run)
     wf = sub.choices["wavefunction"]
     wf.add_argument("--n", type=int, help="radial quantum number (defaults to n-min)")
     wf.add_argument("--single-kappa", type=int, help="kappa (defaults to first of --kappa)")

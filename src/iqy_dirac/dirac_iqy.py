@@ -528,9 +528,9 @@ def _shape_exponents(
 
 def _closed_form(
     alpha: float, w: float, q: float, n: int, r: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unnormalized closed form s^w (1-s)^(1/2+q) P_n^(2w,2q)(1-2s) at
-    s = exp(-2*alpha*r), and its exact radial derivative."""
+    s = exp(-2*alpha*r), its exact radial derivative, and s."""
     s = np.exp(-2.0 * alpha * r)
     one_minus = 1.0 - s
     x = 1.0 - 2.0 * s
@@ -541,7 +541,7 @@ def _closed_form(
     value = base * poly
     dvalue_ds = base * (poly * (w / s - (0.5 + q) / one_minus) - 2.0 * dpoly)
     dvalue_dr = -2.0 * alpha * s * dvalue_ds
-    return value, dvalue_dr
+    return value, dvalue_dr, s
 
 
 def _largest_jacobi_zero(n: int, a: float, b: float) -> float:
@@ -599,7 +599,7 @@ def assemble_wavefunction(
     # where s = exp(-2 alpha r) underflows to 0 the derivative's w / s is inf;
     # the samples this leaves non-finite are counted and rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        raw, draw = _closed_form(params.screening, w, q, n, r_grid)
+        raw, draw, s_map = _closed_form(params.screening, w, q, n, r_grid)
     raw_norm = math.sqrt(float(_trapezoid(raw**2, r_grid)))
     if raw_norm == 0.0:
         raise ExponentNotReal("component vanished identically on the grid")
@@ -619,7 +619,7 @@ def assemble_wavefunction(
             raise DomainError(f"{bad} of {samples.size} {name} samples are not finite at e = {e}")
     return RadialWavefunction(
         r_grid=r_grid,
-        s_map=np.exp(-2.0 * params.screening * r_grid),
+        s_map=s_map,
         symmetry=symmetry,
         e=e,
         n=n,
@@ -629,8 +629,8 @@ def assemble_wavefunction(
 
 
 def first_order_residual(params: PhysicalParams, wf: RadialWavefunction) -> float:
-    """Derivative self-check of the companion, printed as
-    ``back_substitution_residual``; not a test of the radial equation.
+    """Derivative self-check of the companion, the tests' reference for the
+    analytic derivative; not part of a dump, not a test of the radial equation.
 
     ``assemble_wavefunction`` builds the companion from the same first-order
     equation that this re-evaluates with a small-step central difference of

@@ -25,6 +25,7 @@ from iqy_dirac.cli import (
     load_config_file,
     main,
 )
+from iqy_dirac.dirac_iqy import PSPIN, SPIN
 from iqy_dirac.errors import ConfigError
 from test_golden import GOLDEN
 
@@ -393,15 +394,26 @@ class TestWavefunction:
         lines = out.read_text().splitlines()
         header = [line for line in lines if line.startswith("#")]
         assert any("nodes=1" in line for line in header)
-        backsub = [line for line in header if "back_substitution_residual" in line]
-        assert backsub
-        value = float(backsub[0].split("back_substitution_residual=")[1])
-        assert value <= 1e-6
         data_start = lines.index("r,s,F,G") + 1
         rows = np.array([[float(x) for x in line.split(",")] for line in lines[data_start:]])
         g = rows[:, 3]
         assert abs(g[0]) < 1e-6 * np.max(np.abs(g))
         assert abs(g[-1]) < 1e-6 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_closed_form_evaluation_per_dump(self, fmt, tmp_path, monkeypatch):
+        # a dump is built from one Jacobi evaluation of the closed form; the
+        # finite-difference self-check is the tests' reference, not the dump's
+        calls = {"jacobi": 0, "first_order_residual": 0}
+        for module, name in ((dirac_iqy, "jacobi"), (cli, "first_order_residual")):
+            def counted(*args, _name=name, _inner=getattr(module, name)):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        argv = ["wavefunction", "--symmetry", "pspin", "--n-min", "1", "--kappa", "-1"]
+        assert run_main(argv + ["--format", fmt, "--out", str(tmp_path / "wf")]) == 0
+        assert calls == {"jacobi": 1, "first_order_residual": 0}
 
     def test_rerun_identical(self, tmp_path):
         argv = ["wavefunction", "--symmetry", "spin", "--n-min", "0", "--kappa", "-2"]
@@ -687,6 +699,56 @@ class TestReproduceTables:
         run_main(["reproduce-tables", "--out", str(a)])
         run_main(["reproduce-tables", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestTableEncoding:
+    """The published H = 5 columns hold the H = 0 energy at kappa + 1, the
+    condition at H = 1, and never that at the caption's H = 5: kappa + 5, or
+    its mirror -4 - kappa (pseudospin) and -kappa - 6 (spin)."""
+
+    # the H = 0 kappas sharing (lambda - 1/2)^2 with (kappa, H), written out
+    PARTNERS = {
+        (PSPIN, 1.0): lambda kappa: (kappa + 1, -kappa),
+        (SPIN, 1.0): lambda kappa: (kappa + 1, -kappa - 2),
+        (PSPIN, 5.0): lambda kappa: (kappa + 5, -4 - kappa),
+        (SPIN, 5.0): lambda kappa: (kappa + 5, -kappa - 6),
+    }
+    ROWS = {PSPIN: reference_tables.PSPIN_ROWS, SPIN: reference_tables.SPIN_ROWS}
+
+    def counts(self, symmetry, partner_kappas):
+        at_h0, at_h5 = {}, []
+        for row in self.ROWS[symmetry]:
+            for kappa, energies in ((row.kappa_aligned, row.e_aligned), (row.kappa_unaligned, row.e_unaligned)):
+                at_h0[row.n, kappa] = energies[0.0]
+                at_h5.append((row.n, kappa, energies[5.0]))
+        matched = testable = 0
+        for n, kappa, text in at_h5:
+            partners = [at_h0[n, k] for k in partner_kappas(kappa) if (n, k) in at_h0]
+            testable += bool(partners)
+            matched += text in partners
+        return matched, testable
+
+    @pytest.mark.parametrize("symmetry", [PSPIN, SPIN])
+    def test_counts(self, symmetry):
+        assert self.counts(symmetry, lambda kappa: (kappa + 1,)) == (12, 12)
+        assert self.counts(symmetry, self.PARTNERS[symmetry, 1.0]) == (12, 12)
+        assert self.counts(symmetry, self.PARTNERS[symmetry, 5.0]) == (0, 6)
+        for acting_h in (1.0, 5.0):
+            assert cli._partner_matches(self.ROWS[symmetry], symmetry, acting_h) == self.counts(
+                symmetry, self.PARTNERS[symmetry, acting_h]
+            )
+
+    def test_report_lines(self, tmp_path):
+        out = tmp_path / "report.txt"
+        assert run_main(["reproduce-tables", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        start = lines.index("## tensor strength the published H=5 columns encode")
+        assert lines[start + 1 : start + 5] == [
+            f"{symmetry} H=5 entries equal to the H=0 entry of their H={h:g} partner: "
+            + "%d of %d" % self.counts(symmetry, self.PARTNERS[symmetry, h])
+            for h in (1.0, 5.0)
+            for symmetry in (PSPIN, SPIN)
+        ]
 
 
 class TestExitCodes:

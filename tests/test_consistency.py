@@ -94,7 +94,7 @@ class TestComponentRoutes:
         p = caption_params()
         e, n, kappa = -3.1, 1, -1
         r = np.linspace(0.5, 40.0, 101)
-        g, _ = _closed_form(p.screening, *_shape_exponents(p, e, kappa, PSPIN), n, r)
+        g, _, _ = _closed_form(p.screening, *_shape_exponents(p, e, kappa, PSPIN), n, r)
         c = pspin_nu_coefficients(p, kappa, e)
         d = derive_parameters(c)
         composite = np.array(
@@ -111,7 +111,7 @@ class TestComponentRoutes:
         p = caption_params()
         e, n, kappa = 2.2, 1, -2
         r = np.linspace(0.5, 40.0, 101)
-        f, _ = _closed_form(p.screening, *_shape_exponents(p, e, kappa, SPIN), n, r)
+        f, _, _ = _closed_form(p.screening, *_shape_exponents(p, e, kappa, SPIN), n, r)
         c = nu_coefficients(p, kappa, e, SPIN)
         d = derive_parameters(c)
         composite = np.array(

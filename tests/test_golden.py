@@ -8,8 +8,12 @@ wavefunction CSV before a dump was built from one evaluation of the closed
 form, its JSON twin before the sample table was formatted a block of rows at
 a time. The residual cells of the three spectrum files were re-captured
 when the residual's t = gamma*V0 + P^2 became the proof's sum without
-cancellation, (lambda - 1/2)^2 + (n + 1/2)(P + q); every other cell is as
-first written.
+cancellation, (lambda - 1/2)^2 + (n + 1/2)(P + q). The four wavefunction
+files lost their ``back_substitution_residual`` meta field when a dump
+stopped running the finite-difference self-check: the CSVs' third ``#`` line
+is now ``# nodes=N``, and the JSON ``meta`` lost the key. The reproduction
+report gained the five lines of its section on the tensor strength the
+published H = 5 columns encode. Every other cell is as first written.
 Any difference, including the noise-level residual column, is a regression,
 not a reason to regenerate them.
 """

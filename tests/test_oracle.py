@@ -288,7 +288,7 @@ class TestAntiBound:
         the growing branch, on the samples above 1e-6 of the branch's peak."""
         r, u = integrate_outward(iqy_family(p, kappa, symmetry, r_max=r_max), e)
         w, q = _shape_exponents(p, e, kappa, symmetry)
-        growing, _ = _closed_form(p.screening, -w, q, n, r)
+        growing, _, _ = _closed_form(p.screening, -w, q, n, r)
         kept = np.abs(growing) > 1e-6 * np.abs(growing).max()
         ratio = u[kept] / growing[kept]
         return float(np.max(np.abs(ratio / ratio[len(ratio) // 2] - 1.0)))

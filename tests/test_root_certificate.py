@@ -238,3 +238,38 @@ class TestDefectTwo:
         assert cli.main(argv) == 0
         row = out.read_text().splitlines()[1]
         assert re.fullmatch(r"pspin,0,-1,2,-1d3/2,0,-475331605,73\.0221408,[^,]+,false", row)
+
+
+class TestOpenSolverDefects:
+    """Two defects of the 2000-cell scan, pinned until a change mends them."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="CHANGES.md FOUND: solve_batch misses a pair of roots that share one scan cell",
+    )
+    def test_pair_of_roots_inside_one_scan_cell(self):
+        # an anchor-family state (lambda - 1/2 = n + 1/2) whose two roots lie
+        # 6.3e-6 apart in scan cells of 1e-4
+        p = PhysicalParams(mass=1.0, v0=1.0, screening=0.1, tensor_h=1.0, c_spin=1.79999999)
+        window = (0.8, 0.99993)
+        expected = anchor_roots(p, 0, -1, SPIN, scan_window(p, 0, -1, SPIN, window))
+        assert expected == pytest.approx([0.89996837, 0.90003162], abs=1e-8)
+        found = [sol.e for sol in solve_energies(p, 0, -1, SPIN, window, mode="relaxed")]
+        assert found == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="CHANGES.md FOUND: solve_batch returns a non-root where the float residual rounds to an exact 0",
+    )
+    def test_rounded_zero_is_no_root(self):
+        # the anchor quadratic's roots are +-3.9e-7, where beta^2 - alpha^2 is
+        # flat and below beta^2's rounding
+        p = PhysicalParams(
+            mass=1.0, v0=1.0, screening=1.0, tensor_h=1.0, c_pspin=1.5572439458589328e-13
+        )
+        coeff = _coefficients(p, 0, -1, symmetry_record(PSPIN))
+        tol = 1e-12
+        found = solve_energies(p, 0, -1, PSPIN, tol=tol, mode="relaxed")
+        assert found
+        for sol in found:
+            assert exact_sign(coeff, sol.e - tol) * exact_sign(coeff, sol.e + tol) < 0, sol.e

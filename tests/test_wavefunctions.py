@@ -71,9 +71,9 @@ class TestPspinComponents:
         r = wf.r_grid
         h = min(1.0e-6, 0.5 * float(r[0]))
         w, q = _shape_exponents(p, wf.e, -1, PSPIN)
-        raw, exact = _closed_form(p.screening, w, q, 1, r)
-        plus, _ = _closed_form(p.screening, w, q, 1, r + h)
-        minus, _ = _closed_form(p.screening, w, q, 1, r - h)
+        raw, exact, _ = _closed_form(p.screening, w, q, 1, r)
+        plus, _, _ = _closed_form(p.screening, w, q, 1, r + h)
+        minus, _, _ = _closed_form(p.screening, w, q, 1, r - h)
         anchor = int(np.argmax(np.abs(raw)))
         scale = abs(wf.lower[anchor] / raw[anchor])  # to the dumped norm
         assert scale * np.max(np.abs((plus - minus) / (2.0 * h) - exact)) <= 1e-6
@@ -162,7 +162,7 @@ class TestSpinComponents:
         p, sol = spin_state(0, -2)
         wf = assemble_wavefunction(p, sol, 0, -2, SPIN)
         w, q = _shape_exponents(p, wf.e, -2, SPIN)
-        raw, draw = _closed_form(p.screening, w, q, 0, wf.r_grid)
+        raw, draw, _ = _closed_form(p.screening, w, q, 0, wf.r_grid)
         coupled = (draw + (-2 + p.tensor_h) / wf.r_grid * raw) / gamma_factor(p, wf.e, SPIN)
         anchor = int(np.argmax(np.abs(raw)))
         scale = wf.upper[anchor] / raw[anchor]
