@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +34,7 @@ from .dirac_iqy import (
     solve_batch,
     solve_energies,
     spectroscopic_label,
+    strict_window,
     symmetry_record,
 )
 from .errors import ConfigError, IoError, IqyDiracError, NoRoot
@@ -390,6 +391,13 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         lines = ["# " + " ".join(cells[a:b]) for a, b in ((0, 4), (4, 6), (6, 7))]
         text = "\n".join([*lines, "r,s,F,G", _csv_samples(table)]) + "\n"
     _write_text(cfg.out, text)
+    unread = [f"kappa {k}" for k in dict.fromkeys(cfg.kappas) if k != kappa]
+    unread += [f"H {fmt_float(x)}" for x in dict.fromkeys(cfg.tensor_h) if x != h]
+    if unread:
+        print(
+            f"note: the dump reads kappa={kappa} H={fmt_float(h)}; not read: {', '.join(unread)}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -478,7 +486,7 @@ def cmd_crosscheck(cfg: RunConfig) -> int:
 # reproduce-tables
 
 
-# the screening is a placeholder; the fit scans screening explicitly
+# the screening is a placeholder: beta_sq and the strict window's thresholds do not read it
 _CAPTION = PhysicalParams(
     mass=reference_tables.CAPTION_MASS,
     v0=reference_tables.CAPTION_V0,
@@ -552,23 +560,17 @@ def cmd_reproduce_tables(cfg: RunConfig) -> int:
     )
 
     lines.append("## screening fit on the pspin anchor entry")
-    anchor_e, anchor_n, anchor_kappa = _PUBLISHED[PSPIN][1]
-    target = float(anchor_e)
-    alphas = np.geomspace(1.0e-3, 0.5, 25)
-    fits = solve_batch(
-        [(replace(_CAPTION, screening=float(alpha)), anchor_n, anchor_kappa) for alpha in alphas],
-        PSPIN,
-        mode="relaxed",
-    )
-    gaps = [abs(sol.e - target) for sols in fits for sol in sols]
-    best_gap = min(gaps) if gaps else None
+    target = float(_PUBLISHED[PSPIN][1][0])
+    lo, hi = strict_window(_CAPTION, PSPIN)
     lines.append(  # the strict set is empty by the proof in solve_energies
-        "no screening value in [0.001, 0.5] admits a strict root: "
+        "no screening value admits a strict root: "
         "the published energy makes beta_sq negative, so the principal-branch "
         "condition cannot be satisfied for any real screening (fit infeasible)"
     )
-    lines.append(
-        f"closest relaxed-branch approach to the anchor over the scan: {fmt_float(best_gap)}"
+    lines.append(  # the bound is approached as screening -> 0 and never reached
+        "closest relaxed-branch approach to the anchor at any screening: above "
+        f"{fmt_float(min(abs(target - lo), abs(target - hi)))}, its distance to the strict window "
+        f"({fmt_float(lo)}, {fmt_float(hi)}), which holds every relaxed root as t > 0 forces beta_sq > 0"
     )
 
     lines.append("## tensor strength the published H=5 columns encode")

@@ -415,6 +415,21 @@ class TestWavefunction:
         assert run_main(argv + ["--format", fmt, "--out", str(tmp_path / "wf")]) == 0
         assert calls == {"jacobi": 1, "first_order_residual": 0}
 
+    def test_note_names_the_unread_kappa_and_h(self, tmp_path, capsys):
+        argv = ["wavefunction", "--tensor-h", "0", "--tensor-h", "5", "--kappa", "-1,2"]
+        alone = tmp_path / "alone.csv"
+        assert run_main(["wavefunction", "--kappa", "-1", "--out", str(alone)]) == 0
+        assert capsys.readouterr().err == ""
+        assert run_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "note: the dump reads kappa=-1 H=0; not read: kappa 2, H 5\n"
+        assert out == alone.read_text()
+
+    @pytest.mark.parametrize("name", sorted(name for name in GOLDEN if name.startswith("wavefunction")))
+    def test_golden_argv_write_no_note(self, name, tmp_path, capsys):
+        assert run_main(GOLDEN[name] + ["--out", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_rerun_identical(self, tmp_path):
         argv = ["wavefunction", "--symmetry", "spin", "--n-min", "0", "--kappa", "-2"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -699,6 +714,54 @@ class TestReproduceTables:
         run_main(["reproduce-tables", "--out", str(a)])
         run_main(["reproduce-tables", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestScreeningBound:
+    """The screening-fit line states the bound of the proof in
+    ``solve_energies``: t > 0 forces beta^2 > 0 at every relaxed root, so no
+    root at any screening comes closer to the anchor entry, whose beta^2 is
+    negative, than its distance to the strict window."""
+
+    ANCHOR_E, N, KAPPA = reference_tables.ANCHOR_PSPIN
+
+    @staticmethod
+    def printed_bound(tmp_path):
+        out = tmp_path / "report.txt"
+        assert run_main(["reproduce-tables", "--out", str(out)]) == 0
+        (line,) = [line for line in out.read_text().splitlines() if "relaxed-branch approach" in line]
+        return float(line.split(" above ")[1].split(",")[0])
+
+    def test_report_solves_no_state(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("reproduce-tables solved a state")
+
+        monkeypatch.setattr(cli, "solve_batch", no_solve)
+        monkeypatch.setattr(cli, "solve_energies", no_solve)
+        assert self.printed_bound(tmp_path) == 0.008871
+
+    def test_printed_bound_is_the_infimum(self, tmp_path):
+        bound = self.printed_bound(tmp_path)
+        _, hi = dirac_iqy.strict_window(cli._CAPTION, PSPIN)
+        states = [
+            (replace(cli._CAPTION, screening=float(alpha)), self.N, self.KAPPA)
+            for alpha in np.geomspace(1e-6, 2.0, 400)
+        ]
+        roots = [sol.e for sols in dirac_iqy.solve_batch(states, PSPIN, mode="relaxed") for sol in sols]
+        assert len(roots) >= 400
+        assert hi == -0.5 and all(e < hi for e in roots)
+        gaps = [abs(e - float(self.ANCHOR_E)) for e in roots]
+        assert all(gap > bound for gap in gaps)
+        assert min(gaps) - bound < 1e-9
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-4, 1e-5])
+    def test_upper_root_tends_to_the_threshold(self, alpha):
+        # the anchor entry's state has |lambda - 1/2| = n + 1/2, so its
+        # condition is beta^2 = 9 alpha^2, whose upper root is
+        # -0.5 - 2 alpha^2 - (8/9) alpha^4 - O(alpha^6)
+        tol = 1e-12
+        params = replace(cli._CAPTION, screening=alpha)
+        upper = dirac_iqy.solve_energies(params, self.N, self.KAPPA, PSPIN, tol=tol, mode="relaxed")[-1].e
+        assert abs(upper - (-0.5 - 2.0 * alpha**2)) <= alpha**4 + tol
 
 
 class TestTableEncoding:

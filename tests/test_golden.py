@@ -13,7 +13,11 @@ files lost their ``back_substitution_residual`` meta field when a dump
 stopped running the finite-difference self-check: the CSVs' third ``#`` line
 is now ``# nodes=N``, and the JSON ``meta`` lost the key. The reproduction
 report gained the five lines of its section on the tensor strength the
-published H = 5 columns encode. Every other cell is as first written.
+published H = 5 columns encode. Its two screening-fit lines were re-captured
+when the report stopped solving the anchor entry at 25 screenings: the first
+lost the scan's range "in [0.001, 0.5]", the second prints the bound of the
+proof, 0.008871, in place of the scan's closest approach 0.008873. Every other
+cell is as first written.
 Any difference, including the noise-level residual column, is a regression,
 not a reason to regenerate them.
 """

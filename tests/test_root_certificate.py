@@ -11,6 +11,9 @@ X, Y and rad are rationals of the energy and the six float coefficients of
 ``dirac_iqy._coefficients``, so ``fractions`` decides the sign of X + Y sqrt(rad)
 exactly: from the signs of X and Y, and where they differ by comparing X^2
 with Y^2 rad. A root is certified by opposite signs at two doubles around it.
+The solver is also checked against closed forms of the relaxed condition: the
+anchor family and V0 = 0, where it is a quadratic in E, and the screening
+alpha^2 = beta^2 P^2 / t^2 that every root gives back.
 Everything here is pure Python on top of the correctly rounded spectrum path.
 """
 
@@ -133,17 +136,68 @@ def anchor_quadratic(p, n, kappa, symmetry):
     return charge / 2, (charge / 2 - sm) ** 2 - fa * nh * nh
 
 
-def anchor_roots(p, n, kappa, symmetry, bounds):
-    """The quadratic's roots that the solver returns: those inside the scan
-    window ``bounds`` (past the inner-root cap lies outside the solver's
-    domain), and for pseudospin only E < 0."""
-    vertex, disc = anchor_quadratic(p, n, kappa, symmetry)
+def window_roots(vertex, disc, symmetry, bounds):
+    """The roots vertex +- sqrt(disc) of a quadratic in E that the solver
+    returns: those inside the scan window ``bounds`` (past the inner-root cap
+    lies outside the solver's domain), and for pseudospin only E < 0."""
     if disc < 0:
         return []
     root = Fraction(math.sqrt(disc))
     lo, hi = bounds
     roots = sorted({float(vertex - root), float(vertex + root)})
     return [e for e in roots if lo < e < hi and (symmetry == SPIN or e < 0.0)]
+
+
+def anchor_roots(p, n, kappa, symmetry, bounds):
+    """The anchor quadratic's roots that the solver returns."""
+    return window_roots(*anchor_quadratic(p, n, kappa, symmetry), symmetry, bounds)
+
+
+def zero_depth_quadratic(p, n, kappa, symmetry):
+    """(vertex C/2, discriminant) of E^2 - C E + sM (C - sM) + alpha^2 P^2,
+    the relaxed condition at V0 = 0: there q = |lambda - 1/2| is fixed and
+    t = P^2, so the condition is beta^2 = alpha^2 P^2, and
+    E = [C +- sqrt((C - 2sM)^2 - 4 alpha^2 P^2)] / 2. P is taken as the
+    solver forms it, n + 1/2 + sqrt((lambda - 1/2)^2)."""
+    sm, charge, _, lq, nh, fa = _coefficients(p, n, kappa, symmetry_record(symmetry))
+    big_p = Fraction(nh + math.sqrt(lq))
+    sm, charge, fa = map(Fraction, (sm, charge, fa))
+    return charge / 2, (charge / 2 - sm) ** 2 - fa * big_p * big_p / 4
+
+
+def check_quadratic_family(p, n, kappa, symmetry, vertex, disc):
+    """The solver's relaxed roots of one state are the roots vertex +- sqrt(disc)
+    of its closed-form quadratic in E, to a few ulps of (M + |C|)^2."""
+    bounds = scan_window(p, n, kappa, symmetry)
+    assume(bounds is not None)
+    lo, hi = bounds
+    found = [sol.e for sol in solve_energies(p, n, kappa, symmetry, mode="relaxed")]
+    cell = (hi - lo) / 2000.0
+    if disc < cell * cell:
+        # the residual is positive between the two roots, so a pair inside
+        # one scan cell, a double root, or a tangency that rounding makes a
+        # touch shows no sign change on the grid: the 2000-cell scan's
+        # known limit, not this family's. Whatever it returns lies at the
+        # vertex.
+        assert all(abs(e - vertex) <= 2.0 * cell for e in found)
+        return
+    expected = window_roots(vertex, disc, symmetry, bounds)
+    assert len(found) == len(expected)
+    c = getattr(p, symmetry_record(symmetry).charge)
+    for got, want in zip(found, expected):
+        # beta^2 in floats carries a few ulps of (M + |C|)^2, which moves
+        # a root by that over the quadratic's slope |2E - C| there
+        assert abs(got - want) <= 1e-12 + 2e-15 * (p.mass + abs(c)) ** 2 / abs(2.0 * want - c)
+
+
+def caption_like(mass, v0, screening, c_ratio, tensor_h, symmetry):
+    """Parameters with C within (-2M, 2M) of the right sign, which keeps the
+    strict window open."""
+    charge = c_ratio * mass
+    return PhysicalParams(
+        mass=mass, v0=v0, screening=screening, tensor_h=tensor_h,
+        **({"c_pspin": charge} if symmetry == PSPIN else {"c_spin": -charge}),
+    )
 
 
 ANCHOR_STATE = dict(
@@ -168,33 +222,8 @@ class TestAnchorFamily:
         lam = n + 1 if upper else -n
         kappa = int(lam - tensor_h - symmetry_record(symmetry).shift)
         assume(kappa != 0)
-        charge = c_ratio * mass
-        # C within (-2M, 2M) of the right sign keeps the strict window open
-        p = PhysicalParams(
-            mass=mass, v0=v0, screening=screening, tensor_h=tensor_h,
-            **({"c_pspin": charge} if symmetry == PSPIN else {"c_spin": -charge}),
-        )
-        bounds = scan_window(p, n, kappa, symmetry)
-        assume(bounds is not None)
-        lo, hi = bounds
-        found = [sol.e for sol in solve_energies(p, n, kappa, symmetry, mode="relaxed")]
-        vertex, disc = anchor_quadratic(p, n, kappa, symmetry)
-        cell = (hi - lo) / 2000.0
-        if disc < cell * cell:
-            # the residual is positive between the two roots, so a pair inside
-            # one scan cell, a double root, or a tangency that rounding makes a
-            # touch shows no sign change on the grid: the 2000-cell scan's
-            # known limit, not this family's. Whatever it returns lies at the
-            # vertex.
-            assert all(abs(e - vertex) <= 2.0 * cell for e in found)
-            return
-        expected = anchor_roots(p, n, kappa, symmetry, bounds)
-        assert len(found) == len(expected)
-        c = getattr(p, symmetry_record(symmetry).charge)
-        for got, want in zip(found, expected):
-            # beta^2 in floats carries a few ulps of (M + |C|)^2, which moves
-            # a root by that over the quadratic's slope |2E - C| there
-            assert abs(got - want) <= 1e-12 + 2e-15 * (mass + abs(c)) ** 2 / abs(2.0 * want - c)
+        p = caption_like(mass, v0, screening, c_ratio, tensor_h, symmetry)
+        check_quadratic_family(p, n, kappa, symmetry, *anchor_quadratic(p, n, kappa, symmetry))
 
     def test_caption_states_belong_to_the_family(self):
         # pspin (1, -1) and (2, -2) at H 0 and spin (1, -2): beta^2 = alpha^2 (2n + 1)^2
@@ -203,6 +232,74 @@ class TestAnchorFamily:
             found = [sol.e for sol in solve_energies(p, n, kappa, symmetry, mode="relaxed")]
             expected = anchor_roots(p, n, kappa, symmetry, scan_window(p, n, kappa, symmetry))
             assert expected and found == pytest.approx(expected, abs=1e-12)
+
+
+KAPPAS = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
+
+
+class TestZeroDepthQuadratic:
+    @given(
+        mass=st.floats(min_value=0.3, max_value=100.0),
+        screening=st.floats(min_value=0.01, max_value=1.0),
+        c_ratio=st.floats(min_value=-1.9, max_value=1.9),
+        tensor_h=st.sampled_from([0.0, 0.5, 1.0, 1.7, 5.0]),
+        n=st.integers(min_value=0, max_value=5),
+        kappa=st.sampled_from(KAPPAS),
+        symmetry=st.sampled_from([PSPIN, SPIN]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_solver_finds_the_quadratic_roots(
+        self, mass, screening, c_ratio, tensor_h, n, kappa, symmetry
+    ):
+        p = caption_like(mass, 0.0, screening, c_ratio, tensor_h, symmetry)
+        check_quadratic_family(p, n, kappa, symmetry, *zero_depth_quadratic(p, n, kappa, symmetry))
+
+
+def recovered_screening(coeff, e):
+    """(g, g', P, t) at a relaxed root e of the state with coefficients
+    ``coeff``. The condition reads beta^2 = 4 alpha^2 (t / 2P)^2, so
+    alpha^2 = g(e) = beta^2 P^2 / t^2 there. With q' = dq/dE = -V0 / (2q),
+    P' = q' and t' = 2 (n + 1/2) q', so P' t - P t' = q' ((lambda - 1/2)^2 -
+    (n + 1/2)^2) and g' = (C - 2E) P^2 / t^2 + 2 beta^2 P ((lambda - 1/2)^2 -
+    (n + 1/2)^2) q' / t^3. beta^2 and the radicand are exact, then rounded once."""
+    sm, charge, v0, lq, nh, _ = coeff
+    gamma = Fraction(e) + Fraction(sm) - Fraction(charge)
+    bsq = float((Fraction(sm) - Fraction(e)) * gamma)
+    q = math.sqrt(float(Fraction(lq) - gamma * Fraction(v0)))
+    big_p = nh + q
+    t = lq + nh * (big_p + q)
+    slope = (charge - 2.0 * e) * (big_p / t) ** 2 - bsq * big_p * (lq - nh * nh) * v0 / (q * t**3)
+    return bsq * (big_p / t) ** 2, slope, big_p, t
+
+
+class TestScreeningRecovery:
+    @given(
+        mass=st.floats(min_value=1.0, max_value=10.0),
+        v0=st.floats(min_value=0.1, max_value=10.0),
+        screening=st.floats(min_value=0.01, max_value=0.5),
+        c_ratio=st.floats(min_value=-1.9, max_value=1.9),
+        tensor_h=st.sampled_from([0.0, 0.5, 1.0, 5.0]),
+        n=st.integers(min_value=0, max_value=5),
+        kappa=st.sampled_from(KAPPAS),
+        symmetry=st.sampled_from([PSPIN, SPIN]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_root_gives_back_its_screening(
+        self, mass, v0, screening, c_ratio, tensor_h, n, kappa, symmetry
+    ):
+        p = caption_like(mass, v0, screening, c_ratio, tensor_h, symmetry)
+        assume(scan_window(p, n, kappa, symmetry) is not None)
+        tol = 1e-12
+        coeff = _coefficients(p, n, kappa, symmetry_record(symmetry))
+        c = abs(coeff[1])
+        for sol in solve_energies(p, n, kappa, symmetry, tol=tol, mode="relaxed"):
+            g, slope, big_p, t = recovered_screening(coeff, sol.e)
+            # the root lies within tol of the exact one, which moves g by
+            # tol |g'|; the float residual's few ulps of (M + |C|)^2 move the
+            # root by that over its slope (t/P)^2 |g'|, so g by that (P/t)^2
+            bound = tol * abs(slope) + 2e-15 * (mass + c) ** 2 * (big_p / t) ** 2
+            alpha = math.sqrt(g)
+            assert abs(alpha - screening) <= bound / (alpha + screening), (sol.e, alpha)
 
 
 class TestDefectTwo:
