@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from iqy_dirac.dirac_iqy import (
     PSPIN,
     SPIN,
-    PhysicalParams,
     _closed_form,
     _shape_exponents,
     beta_squared,
@@ -31,12 +30,7 @@ from iqy_dirac.nu_engine import (
     evaluate_nu_wavefunction,
     wavefunction_parameters,
 )
-
-
-def caption_params(**overrides):
-    base = dict(mass=5.0, v0=1.0, screening=0.05, tensor_h=0.0, c_spin=6.0, c_pspin=-5.5)
-    base.update(overrides)
-    return PhysicalParams(**base)
+from test_dirac_iqy import caption_params
 
 
 class TestResidualRoutes:

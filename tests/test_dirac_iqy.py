@@ -1045,6 +1045,54 @@ class TestDoubletSplitting:
         # the aligned member sits higher
         self._check_pattern(SPIN, [(0, -2)], aligned_lower=False)
 
+    @staticmethod
+    def _partner_energies(params, n, kappa, symmetry):
+        """Reported E of kappa and its H = 0 partner, the member with the
+        smaller (lambda - 1/2)^2 first, or None when either has no root."""
+        h = params.tensor_h
+        roots = doublet_roots(params, symmetry, [(n, kappa)], [h])
+        if None in roots.values():
+            return None
+        # H > 0 moves the partners' (lambda - 1/2)^2 apart, so they never tie
+        members = sorted((k for _, k, _ in roots), key=lambda k: (
+            effective_centrifugal(k, h, symmetry) - 0.5) ** 2)
+        return [roots[n, k, h].e for k in members]
+
+    @given(
+        mass=st.floats(min_value=0.3, max_value=100.0),
+        v0=st.floats(min_value=1e-3, max_value=100.0),
+        screening=st.floats(min_value=0.01, max_value=1.0),
+        cps_ratio=st.floats(min_value=-1.9, max_value=1.9),
+        tensor_h=st.sampled_from([0.3, 0.5, 1.0, 1.7, 5.0]),
+        n=st.integers(min_value=0, max_value=5),
+        # kappa 1 has the partner 0
+        kappa=st.sampled_from([-4, -3, -2, -1, 2, 3, 4]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pspin_smaller_centrifugal_member_lower(
+        self, mass, v0, screening, cps_ratio, tensor_h, n, kappa
+    ):
+        # the condition sees kappa and H only through (lambda - 1/2)^2; on
+        # the pspin branch the smaller value gives the lower E. Tested here,
+        # not proven
+        p = PhysicalParams(mass=mass, v0=v0, screening=screening, tensor_h=tensor_h,
+                           c_pspin=cps_ratio * mass)
+        energies = self._partner_energies(p, n, kappa, PSPIN)
+        assume(energies is not None)
+        smaller, larger = energies
+        assert smaller < larger
+
+    @pytest.mark.parametrize("c_spin,tensor_h,smaller_lower", [
+        (6.0, 5.0, False),  # the caption's spin constant: the published order
+        (0.0, 1.0, True),
+    ])
+    def test_spin_order_has_both_signs(self, c_spin, tensor_h, smaller_lower):
+        # the same comparison as for pspin; the spin order flips with the parameters
+        p = replace(caption_params(), c_spin=c_spin, tensor_h=tensor_h)
+        smaller, larger = self._partner_energies(p, 0, -2, SPIN)
+        assert abs(smaller - larger) > 1e-3
+        assert (smaller < larger) == smaller_lower
+
     def test_partner_map(self):
         assert partner_kappa(-1, 0.0, PSPIN) == 2
         assert partner_kappa(-2, 0.0, PSPIN) == 3

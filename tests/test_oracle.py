@@ -45,12 +45,7 @@ from iqy_dirac.oracle import (
     shoot_eigenvalues,
     spin_family,
 )
-
-
-def caption_params(**overrides):
-    base = dict(mass=5.0, v0=1.0, screening=0.05, tensor_h=0.0, c_spin=6.0, c_pspin=-5.5)
-    base.update(overrides)
-    return PhysicalParams(**base)
+from test_dirac_iqy import caption_params
 
 
 def integrate_inward(family, e):

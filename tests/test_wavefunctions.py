@@ -5,7 +5,6 @@ from iqy_dirac import dirac_iqy
 from iqy_dirac.dirac_iqy import (
     PSPIN,
     SPIN,
-    PhysicalParams,
     _closed_form,
     _shape_exponents,
     assemble_wavefunction,
@@ -17,12 +16,7 @@ from iqy_dirac.dirac_iqy import (
 from iqy_dirac.errors import DomainError, EnergyAtThreshold, ExponentNotReal
 from iqy_dirac.oracle import count_nodes
 from iqy_dirac.special_fn import DEGREE_CAP
-
-
-def caption_params(**overrides):
-    base = dict(mass=5.0, v0=1.0, screening=0.05, tensor_h=0.0, c_spin=6.0, c_pspin=-5.5)
-    base.update(overrides)
-    return PhysicalParams(**base)
+from test_dirac_iqy import caption_params
 
 
 def pspin_state(n, kappa, **overrides):
